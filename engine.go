@@ -58,17 +58,17 @@ type EngineConfig struct {
 	// cache serves repeat endpoints — a hot fraud hub queried in every
 	// batch — with zero BFS passes; see internal/cache.
 	FrontierCache int
-	// CacheAdmitDegree gates frontier deposits: a frontier built on a
-	// cache miss is deposited only when the endpoint's degree
-	// (out-degree of S for the forward side, in-degree of T for the
-	// backward side) is at least this threshold, so only hub-grade
-	// endpoints — the ones likely to repeat — pay the deposit's O(|V|)
-	// allocation. The check applies to single queries and to batch
-	// per-member sides alike; a batch side the planner proved shared
-	// (two or more members need it) is admitted regardless of degree —
-	// reuse within the batch is already evidence. 0 uses
-	// DefaultCacheAdmitDegree; negative restricts deposits to
-	// planner-proved shared frontiers only.
+	// CacheAdmitDegree gates frontier deposits: on a cache miss the
+	// shareable labeling is built and deposited only when the
+	// endpoint's degree (out-degree of S for the forward side, in-degree
+	// of T for the backward side) is at least this threshold, so only
+	// hub-grade endpoints — the ones likely to repeat — pay the
+	// deposit's full-ball search and O(|V|) allocation. The check
+	// applies to single queries and to batch per-member sides alike; a
+	// batch side the planner proved shared (two or more members need it)
+	// is admitted regardless of degree — reuse within the batch is
+	// already evidence. 0 uses DefaultCacheAdmitDegree; negative
+	// restricts deposits to planner-proved shared frontiers only.
 	CacheAdmitDegree int
 	// SnapshotEvery amortizes the engine write path: Engine.Insert
 	// publishes a fresh immutable snapshot (an O(E log E) rebuild) only
@@ -671,13 +671,14 @@ func (e *Engine) Execute(q Query) (*Result, error) {
 // Result.Completed == false. Like Engine.Stream — the two are callback and
 // pull consumers of the same request spine — single queries are served
 // from the frontier cache when it holds a matching labeling (a hub warmed
-// by an earlier batch or query costs one BFS pass instead of two), and on
-// a miss they deposit the labeling they build when the endpoint passes the
-// degree-based admission check (EngineConfig.CacheAdmitDegree), so hot
-// hubs warm the cache without waiting for a batch. This is the entry point
-// services should use — e.g. an HTTP handler passing the request context
-// gets session buffer reuse, the engine oracle and client-disconnect
-// cancellation in one call.
+// by an earlier batch or query skips that side's search), and on a miss
+// they build and deposit the shareable labeling when the endpoint passes
+// the degree-based admission check (EngineConfig.CacheAdmitDegree), so hot
+// hubs warm the cache without waiting for a batch; below the threshold a
+// miss costs only the query's own budget-bounded labeling. This is the
+// entry point services should use — e.g. an HTTP handler passing the
+// request context gets session buffer reuse, the engine oracle and
+// client-disconnect cancellation in one call.
 func (e *Engine) ExecuteWith(ctx context.Context, q Query, opts Options) (*Result, error) {
 	e.metrics.requests[opExecute].Inc()
 	start := time.Now()
@@ -707,17 +708,20 @@ func (e *Engine) ExecuteWith(ctx context.Context, q Query, opts Options) (*Resul
 // frontiers resolves the frontier-cache sides of a single query: consult
 // for both sides, and on a miss whose endpoint passes the degree-based
 // admission check, build the shareable labeling and deposit it for later
-// queries and batches. The build replaces that side's scratch BFS, so on
-// an oracle-less engine admission costs one O(|V|) allocation, not an
-// extra pass; with an oracle installed the deposit build costs more than
-// the oracle-pruned scratch pass it replaces — shareable labelings cannot
-// bake in per-query pruning — an investment the admission check bets will
-// amortize across repeat queries on that hub. Opaque predicates
-// (non-nil with a zero token) and invalid queries skip the cache, and no
-// deposit is built for runs that will not enumerate: a context already
-// done, a stale oracle (the run fails with ErrStaleEpoch) or an oracle
-// lower bound proving the query infeasible (the run's zero-BFS fast
-// path). engineOracle is the engine-level oracle captured with g.
+// queries and batches. The deposit is an investment, not a by-product: the
+// query's own labeling is budget-bounded (it touches what the hop budget
+// can use from both ends), while a shareable labeling is the endpoint's
+// whole k-ball plus an O(|V|) array — and unpruned even with an oracle
+// installed, because shareable labelings cannot bake in per-query pruning.
+// The admission check bets that it amortizes across repeat queries on that
+// hub; the other side of the query then runs restricted against it. A
+// frontier the cache could not hold (cache.Fits: byte bound, shared
+// budget) is not built at all. Opaque predicates (non-nil with a zero
+// token) and invalid queries skip the cache, and no deposit is built for
+// runs that will not enumerate: a context already done, a stale oracle
+// (the run fails with ErrStaleEpoch) or an oracle lower bound proving the
+// query infeasible (the run's zero-BFS fast path). engineOracle is the
+// engine-level oracle captured with g.
 func (e *Engine) frontiers(ctx context.Context, g *Graph, engineOracle DistanceOracle, q Query, opts Options) (fwd, bwd *core.Frontier) {
 	if e.cache == nil || (opts.Predicate != nil && opts.PredicateToken == core.PredicateNone) {
 		return nil, nil
@@ -744,13 +748,18 @@ func (e *Engine) frontiers(ctx context.Context, g *Graph, engineOracle DistanceO
 			return fwd, bwd // infeasible: the run's fast path does zero BFS
 		}
 	}
-	if fwd == nil && g.OutDegree(q.S) >= admit {
+	buildFwd := fwd == nil && g.OutDegree(q.S) >= admit
+	buildBwd := bwd == nil && g.InDegree(q.T) >= admit
+	if !(buildFwd || buildBwd) || !e.cache.Fits(core.FrontierBytes(g.NumVertices())) {
+		return fwd, bwd // nothing admitted, or Put would refuse the deposit
+	}
+	if buildFwd {
 		if f, err := core.NewForwardFrontier(g, q.S, q.K, opts.Predicate, opts.PredicateToken); err == nil {
 			e.cache.Put(f)
 			fwd = f
 		}
 	}
-	if bwd == nil && g.InDegree(q.T) >= admit {
+	if buildBwd {
 		if f, err := core.NewBackwardFrontier(g, q.T, q.K, opts.Predicate, opts.PredicateToken); err == nil {
 			e.cache.Put(f)
 			bwd = f

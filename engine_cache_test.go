@@ -701,3 +701,43 @@ func TestSingleQueryDepositsWithAdmission(t *testing.T) {
 		t.Fatalf("deposit-disabled engine cached %d entries", cs.Entries)
 	}
 }
+
+// TestCacheNoBuildWhenDepositCannotFit: when the budget leaves no room
+// for even one frontier, an admitted miss must not pay a full-ball build
+// per query only for Put to refuse it — Rejected stays 0, nothing
+// is resident, and answers equal the unbudgeted engine's.
+func TestCacheNoBuildWhenDepositCannotFit(t *testing.T) {
+	g := engineGraph()
+	free, err := NewEngine(g, EngineConfig{Workers: 2, CacheAdmitDegree: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One byte: floored at the mandatory scratch, which then fills it.
+	tight, err := NewEngine(g, EngineConfig{Workers: 2, CacheAdmitDegree: 1, MemoryBudgetBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms := tight.MemStats(); ms.BudgetBytes-ms.UsedBytes >= int64(4*g.NumVertices()) {
+		t.Fatalf("test premise: headroom %d holds a frontier", ms.BudgetBytes-ms.UsedBytes)
+	}
+	ctx := context.Background()
+	for _, q := range append(engineQueries(12, 5, g.NumVertices()), Query{S: 101, T: 0, K: 4}) {
+		want, err := free.ExecuteWith(ctx, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tight.ExecuteWith(ctx, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Counters.Results != want.Counters.Results {
+			t.Fatalf("%v: budgeted %d paths, unbudgeted %d", q, got.Counters.Results, want.Counters.Results)
+		}
+	}
+	if cs := free.CacheStats(); cs.Entries == 0 {
+		t.Fatalf("test premise: the unbudgeted engine deposited nothing: %+v", cs)
+	}
+	if cs := tight.CacheStats(); cs.Rejected != 0 || cs.Entries != 0 {
+		t.Fatalf("built deposits the cache had to refuse: %+v", cs)
+	}
+}

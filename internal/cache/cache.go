@@ -188,6 +188,20 @@ func (c *FrontierCache) Get(key Key, k int, ver graph.Version) *core.Frontier {
 	return ent.f
 }
 
+// Fits reports whether Put could hold a frontier of the given size at all:
+// it is within the byte bound, and within what the other classes leave of
+// the shared budget even with every entry evicted. A caller about to build
+// a frontier only to deposit it asks first, so that a deposit Put must
+// refuse (Stats.Rejected) is never built.
+func (c *FrontierCache) Fits(bytes int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.maxBytes > 0 && bytes > c.maxBytes {
+		return false
+	}
+	return c.budget == nil || c.budget.Used()-c.bytes+bytes <= c.budget.Limit()
+}
+
 // Put deposits f, keyed by its own (origin, direction, predicate
 // identity), and reports whether it is resident afterwards. Within one
 // lineage the higher epoch always wins — a deposit from an in-flight

@@ -479,3 +479,38 @@ func TestConcurrentReplacementStats(t *testing.T) {
 		t.Fatalf("ledger %d != Stats.Bytes %d after race", got, st.Bytes)
 	}
 }
+
+// TestFitsAgreesWithPut: Fits answers, before a frontier is built, what
+// Put would answer after — the byte bound, and what the other classes
+// leave of the shared budget once the cache's own entries are evicted.
+func TestFitsAgreesWithPut(t *testing.T) {
+	g := gen.BarabasiAlbert(40, 2, 31)
+	per := core.FrontierBytes(g.NumVertices())
+	if f := fwdFrontier(t, g, 0, 3); f.MemoryBytes() != per {
+		t.Fatalf("FrontierBytes %d != MemoryBytes %d", per, f.MemoryBytes())
+	}
+	if !New(4).Fits(per) {
+		t.Fatal("an unbounded cache refused")
+	}
+	if c := NewBudgeted(4, per-1, nil); c.Fits(per) || c.Put(fwdFrontier(t, g, 0, 3)) {
+		t.Fatal("a frontier larger than the byte bound fits")
+	}
+
+	b := mem.New(2 * per)
+	c := NewBudgeted(4, 0, b)
+	c.Put(fwdFrontier(t, g, 0, 3))
+	c.Put(fwdFrontier(t, g, 1, 3))
+	// The ledger is full of the cache's own entries: they can be evicted.
+	if !c.Fits(per) || !c.Put(fwdFrontier(t, g, 2, 3)) {
+		t.Fatal("evictable residency counted against the deposit")
+	}
+	// Another class leaves one byte less than a frontier needs.
+	b.Must(mem.ClassScratch, b.Limit()-per+1)
+	if c.Fits(per) {
+		t.Fatal("fits despite the other classes leaving too little")
+	}
+	rejected := c.Stats().Rejected
+	if c.Put(fwdFrontier(t, g, 3, 3)) || c.Stats().Rejected != rejected+1 {
+		t.Fatal("Put accepted what Fits refused")
+	}
+}

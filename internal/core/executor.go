@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"time"
 
 	"pathenum/internal/graph"
@@ -12,16 +13,17 @@ import (
 // executor owns the build → optimize → enumerate pipeline behind every
 // query entry point: core.Run/RunContext, Session.Run/RunContext and (via
 // sessions) the public Engine. Buffer reuse is pluggable — a long-lived
-// executor amortizes the O(|V|) BFS labelings, position map and visited
-// bitmap across queries, while one-shot runs simply use a throwaway
-// executor and pay the allocations once.
+// executor allocates the O(|V|) distance labelings, position map and
+// visited bitmap once and each query touches (and afterwards resets) only
+// the entries its budget-bounded labeling reaches, while one-shot runs
+// simply use a throwaway executor and pay the allocations once.
 //
 // An executor is NOT safe for concurrent use; Session inherits that
 // restriction and the Engine keeps one per worker.
 type executor struct {
 	g       *graph.Graph
 	scratch *bfsScratch
-	pos     []int32
+	pos     *posMap
 	onPath  []bool  // allocated lazily by the first DFS enumeration
 	seen    []int32 // allocated lazily by the first join: path validation epochs
 	oracle  DistanceOracle
@@ -33,20 +35,22 @@ func newExecutor(g *graph.Graph, oracle DistanceOracle) *executor {
 	return &executor{
 		g:       g,
 		scratch: newBFSScratch(n),
-		pos:     make([]int32, n),
+		pos:     newPosMap(n),
 		oracle:  oracle,
 	}
 }
 
 // SessionScratchBytes returns the worst-case resident size of one
-// session's pooled per-query scratch on an n-vertex graph: the two BFS
-// labelings, the BFS queue, the index position map, the DFS visited
-// bitmap and the join validation epochs (4+4+4+4+1+4 = 21 bytes per
-// vertex; the O(k) path buffers are noise against that). The engine
+// session's pooled per-query scratch on an n-vertex graph: the two distance
+// labelings and their two visit lists (4 bytes per vertex each; a list
+// holds every vertex only when a search labels the whole graph, but it
+// keeps the capacity it grew to), the index position map (4), the DFS
+// visited bitmap (1) and the join validation epochs (4): 25 bytes per
+// vertex; the O(k) path buffers are noise against that. The engine
 // charges this per pooled session under mem.ClassScratch — the scratch
 // is not optional, so it is accounted with Budget.Must and the effective
 // budget is floored at the scratch requirement.
-func SessionScratchBytes(n int) int64 { return int64(n) * 21 }
+func SessionScratchBytes(n int) int64 { return int64(n) * 25 }
 
 // execute runs one query through the full pipeline: oracle feasibility
 // check, index construction (Algorithm 3), plan selection (§6) and
@@ -64,13 +68,15 @@ func (e *executor) execute(ctx context.Context, q Query, opts Options) (*Result,
 }
 
 // executeShared is execute with optionally precomputed distance labelings:
-// a non-nil fwd replaces the forward BFS from q.S and a non-nil bwd the
-// backward BFS from q.T. This is the batch subsystem's entry point — a
-// shared-source group passes one forward Frontier to every member, so each
-// member pays a single per-query BFS pass instead of two. Frontier labels
+// a non-nil fwd stands in for the forward side from q.S and a non-nil bwd
+// for the backward side from q.T. This is the batch subsystem's entry
+// point — a shared-source group passes one forward Frontier to every
+// member, so each member only runs the other side, restricted to what the
+// frontier says the budget can use (bfsScratch.label). Frontier labels
 // are a sound relaxation of the per-query ones (see the Frontier doc);
-// Result.Timings.BFS covers only the per-query passes actually run, and
-// index statistics may report a slightly larger (superset) index.
+// Result.Timings.BFS and Result.BFSVisited cover only the per-query
+// searches actually run, and index statistics may report a slightly
+// larger (superset) index.
 func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd, bwd *Frontier) (*Result, error) {
 	if err := q.Validate(e.g); err != nil {
 		return nil, err
@@ -113,19 +119,10 @@ func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd
 			return res, nil
 		}
 	}
-	distS, distT := e.scratch.distS, e.scratch.distT
-	if fwd != nil {
-		distS = fwd.dist
-	} else {
-		e.scratch.runForward(e.g, q, opts.Predicate, oracle)
-	}
-	if bwd != nil {
-		distT = bwd.dist
-	} else {
-		e.scratch.runBackward(e.g, q, opts.Predicate, oracle)
-	}
+	lab := e.scratch.label(e.g, q, opts.Predicate, oracle, fwd, bwd)
+	res.BFSVisited = lab.visited
 	res.Timings.BFS = time.Since(start)
-	ix := buildIndexFromDists(e.g, q, distS, distT, opts.Predicate, e.pos)
+	ix := buildIndex(e.g, q, lab, opts.Predicate, e.pos)
 	res.Timings.Build = time.Since(start)
 	res.IndexEdges = ix.Edges()
 	res.IndexVertices = ix.NumIndexed()
@@ -297,21 +294,32 @@ func (e *executor) enumerateDFS(ix *Index, ctl RunControl, ctr *Counters) bool {
 	return !ds.stopped
 }
 
-// buildIndexFromDists is buildIndexFrom with caller-owned distance arrays
-// and pos buffer, so repeated builds avoid the O(|V|) allocations and the
-// batch subsystem can substitute shared Frontier labelings for either
-// side. The index borrows the pos buffer: it is valid until the next build
-// that reuses it. The distance arrays are only read.
-func buildIndexFromDists(g *graph.Graph, q Query, distS, distT []int32, pred EdgePredicate, pos []int32) *Index {
-	n := g.NumVertices()
+// posMap is the reusable vertex -> index position map an Index borrows.
+// pos is -1 everywhere except at the vertices of the index it last served
+// (set), so handing it to the next build costs O(|X|), not O(|V|).
+type posMap struct {
+	pos []int32
+	set []graph.VertexID
+}
+
+func newPosMap(n int) *posMap { return &posMap{pos: minusOnes(n)} }
+
+// buildIndex assembles the index from a completed labeling (lines 2-11 of
+// Algorithm 3). The index borrows pm: it is valid until the next build that
+// reuses pm. The distance arrays and the candidate list are only read. X is
+// the candidates that pass inX; all of V is walked only when the candidates
+// are a sweepShare-th of it or more, so the build stays O(touched).
+func buildIndex(g *graph.Graph, q Query, lab labeling, pred EdgePredicate, pm *posMap) *Index {
 	k := q.K
 	k32 := int32(k)
+	distS, distT := lab.distS, lab.distT
 
 	ix := &Index{g: g, q: q, k: k, pred: pred}
-	ix.pos = pos
-	for i := range ix.pos {
-		ix.pos[i] = -1
+	ix.pos = pm.pos
+	for _, v := range pm.set {
+		pm.pos[v] = -1
 	}
+	pm.set = nil
 
 	inX := func(v graph.VertexID) bool {
 		ds, dt := distS[v], distT[v]
@@ -325,16 +333,28 @@ func buildIndexFromDists(g *graph.Graph, q Query, distS, distT []int32, pred Edg
 		ix.sumIt = make([]uint64, k)
 		return ix
 	}
-	for v := 0; v < n; v++ {
-		if inX(graph.VertexID(v)) {
-			ix.pos[v] = int32(len(ix.verts))
-			ix.verts = append(ix.verts, graph.VertexID(v))
+	// Positions follow ascending vertex id: sort the candidates that pass,
+	// or sweep the id space where that is the cheaper way to the same list.
+	if n := g.NumVertices(); lab.cand == nil || len(lab.cand) >= n/sweepShare {
+		for v := graph.VertexID(0); int(v) < n; v++ {
+			if inX(v) {
+				ix.verts = append(ix.verts, v)
+			}
 		}
+	} else {
+		for _, v := range lab.cand {
+			if inX(v) {
+				ix.verts = append(ix.verts, v)
+			}
+		}
+		slices.Sort(ix.verts)
 	}
+	pm.set = ix.verts
 	m := len(ix.verts)
 	ix.vs = make([]int32, m)
 	ix.vt = make([]int32, m)
 	for p, v := range ix.verts {
+		ix.pos[v] = int32(p)
 		ix.vs[p] = distS[v]
 		ix.vt[p] = distT[v]
 	}

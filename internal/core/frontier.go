@@ -48,6 +48,14 @@ const PredicateNone PredicateToken = 0
 // exploration, which the batch planner trades against the saved BFS
 // passes. TestRunSharedMatchesRun cross-checks the emitted path sets.
 //
+// Cost. A Frontier labels its endpoint's whole ball to depth bound and
+// holds 4 bytes per vertex of the graph, whereas a query's own labeling
+// (bfsScratch.label) touches only what the hop budget can use from both
+// ends. A query handed a Frontier treats that side as complete and runs
+// the other side restricted to the frontier's labels, so sharing pays off
+// from the second user on: a frontier built for one query alone costs more
+// than the search it replaces.
+//
 // A Frontier captures the graph's (lineage, epoch) version at construction
 // and is validated against the execution graph on every use: a frontier
 // built before a Dynamic.Insert is rejected with graph.ErrStaleEpoch
@@ -73,7 +81,7 @@ func NewForwardFrontier(g *graph.Graph, s graph.VertexID, bound int, pred EdgePr
 	if err := checkFrontierArgs(g, s, bound, pred, tok); err != nil {
 		return nil, err
 	}
-	f := &Frontier{ver: g.Version(), origin: s, bound: bound, forward: true, predTok: tok, hasPred: pred != nil, dist: make([]int32, g.NumVertices())}
+	f := &Frontier{ver: g.Version(), origin: s, bound: bound, forward: true, predTok: tok, hasPred: pred != nil, dist: minusOnes(g.NumVertices())}
 	frontierBFS(f.dist, bound, s, func(v graph.VertexID, visit func(graph.VertexID)) {
 		for _, w := range g.OutNeighbors(v) {
 			if pred == nil || pred(v, w) {
@@ -90,7 +98,7 @@ func NewBackwardFrontier(g *graph.Graph, t graph.VertexID, bound int, pred EdgeP
 	if err := checkFrontierArgs(g, t, bound, pred, tok); err != nil {
 		return nil, err
 	}
-	f := &Frontier{ver: g.Version(), origin: t, bound: bound, forward: false, predTok: tok, hasPred: pred != nil, dist: make([]int32, g.NumVertices())}
+	f := &Frontier{ver: g.Version(), origin: t, bound: bound, forward: false, predTok: tok, hasPred: pred != nil, dist: minusOnes(g.NumVertices())}
 	frontierBFS(f.dist, bound, t, func(v graph.VertexID, visit func(graph.VertexID)) {
 		for _, w := range g.InNeighbors(v) {
 			if pred == nil || pred(w, v) {
@@ -118,11 +126,9 @@ func checkFrontierArgs(g *graph.Graph, origin graph.VertexID, bound int, pred Ed
 }
 
 // frontierBFS is the direction-agnostic bounded BFS behind both frontier
-// constructors: neighbors abstracts the edge direction.
+// constructors: neighbors abstracts the edge direction, and dist arrives
+// all-unreachable.
 func frontierBFS(dist []int32, bound int, origin graph.VertexID, neighbors func(v graph.VertexID, visit func(graph.VertexID))) {
-	for i := range dist {
-		dist[i] = distUnreachable
-	}
 	queue := make([]graph.VertexID, 0, 64)
 	queue = append(queue, origin)
 	dist[origin] = 0
@@ -165,7 +171,11 @@ func (f *Frontier) Epoch() uint64 { return f.ver.Epoch() }
 
 // MemoryBytes reports the resident size of the labeling, the unit the
 // frontier cache budgets by.
-func (f *Frontier) MemoryBytes() int64 { return int64(len(f.dist)) * 4 }
+func (f *Frontier) MemoryBytes() int64 { return FrontierBytes(len(f.dist)) }
+
+// FrontierBytes is the MemoryBytes of any Frontier on an n-vertex graph,
+// known before building one.
+func FrontierBytes(n int) int64 { return int64(n) * 4 }
 
 // Dist returns the labeled distance of v, or -1 if v was not reached
 // within the bound.

@@ -51,58 +51,48 @@ type Index struct {
 }
 
 // BuildIndex constructs the light-weight index for q on g (Algorithm 3).
-// Construction is O(|E| + |V|) time: two bounded BFS passes, one partition
-// pass and two counting-sort adjacency passes.
+// Construction touches only what the hop budget can use from both ends (see
+// bfsScratch.label) plus, for this one-shot form, the O(|V|) buffers a
+// Session would reuse.
 func BuildIndex(g *graph.Graph, q Query) (*Index, error) {
-	if err := q.Validate(g); err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-	scratch := newBFSScratch(n)
-	scratch.run(g, q, nil)
-	return buildIndexFrom(g, q, scratch, nil), nil
+	ix, _, err := buildOneShot(g, q, nil, nil)
+	return ix, err
 }
 
 // IndexBuildTimings reports the phases of one index construction: the
-// distance-labeling BFS (line 1 of Algorithm 3) and the total build.
+// distance labeling (line 1 of Algorithm 3) and the total build.
 type IndexBuildTimings struct {
 	BFS   time.Duration
 	Total time.Duration
 }
 
-// BuildIndexTimed builds the index while timing the BFS phase separately,
-// feeding the per-technique breakdowns of Figures 12 and 17.
+// BuildIndexTimed builds the index while timing the labeling phase
+// separately, feeding the per-technique breakdowns of Figures 12 and 17.
 func BuildIndexTimed(g *graph.Graph, q Query) (*Index, IndexBuildTimings, error) {
-	if err := q.Validate(g); err != nil {
-		return nil, IndexBuildTimings{}, err
-	}
-	start := time.Now()
-	scratch := newBFSScratch(g.NumVertices())
-	scratch.run(g, q, nil)
-	bfs := time.Since(start)
-	ix := buildIndexFrom(g, q, scratch, nil)
-	return ix, IndexBuildTimings{BFS: bfs, Total: time.Since(start)}, nil
+	return buildOneShot(g, q, nil, nil)
 }
 
 // BuildIndexFiltered constructs the index for q on the subgraph of edges
 // satisfying pred, implementing the predicate-constraint extension of
-// Appendix E without materializing the subgraph: the BFS labelings and both
+// Appendix E without materializing the subgraph: the labeling and both
 // adjacency passes consult the predicate directly.
 func BuildIndexFiltered(g *graph.Graph, q Query, pred EdgePredicate) (*Index, error) {
-	if err := q.Validate(g); err != nil {
-		return nil, err
-	}
-	scratch := newBFSScratch(g.NumVertices())
-	scratch.run(g, q, pred)
-	return buildIndexFrom(g, q, scratch, pred), nil
+	ix, _, err := buildOneShot(g, q, pred, nil)
+	return ix, err
 }
 
-// buildIndexFrom assembles the index from completed BFS labelings. Split
-// out so the harness can time the BFS phase separately (Figure 12/17).
-// The assembly itself lives in buildIndexFromDists (executor.go);
-// one-shot callers pay a fresh position buffer here.
-func buildIndexFrom(g *graph.Graph, q Query, scratch *bfsScratch, pred EdgePredicate) *Index {
-	return buildIndexFromDists(g, q, scratch.distS, scratch.distT, pred, make([]int32, g.NumVertices()))
+// buildOneShot is the build behind the BuildIndex* entry points: validate,
+// label with throwaway buffers, assemble.
+func buildOneShot(g *graph.Graph, q Query, pred EdgePredicate, oracle DistanceOracle) (*Index, IndexBuildTimings, error) {
+	if err := q.Validate(g); err != nil {
+		return nil, IndexBuildTimings{}, err
+	}
+	start := time.Now()
+	n := g.NumVertices()
+	lab := newBFSScratch(n).label(g, q, pred, oracle, nil, nil)
+	bfs := time.Since(start)
+	ix := buildIndex(g, q, lab, pred, newPosMap(n))
+	return ix, IndexBuildTimings{BFS: bfs, Total: time.Since(start)}, nil
 }
 
 // buildForward fills the neighbor lists sorted by w.t (lines 5-11).

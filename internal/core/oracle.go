@@ -37,21 +37,6 @@ func validateOracle(oracle DistanceOracle, g *graph.Graph) error {
 	return nil
 }
 
-// runPruned is the oracle-accelerated variant of bfsScratch.run: both
-// searches skip expanding any vertex whose distance-so-far plus the
-// oracle's lower bound to the remaining endpoint already exceeds k.
-//
-// Soundness: such a vertex is provably outside the partition X, and any
-// vertex on a shortest path from s (or to t) of an X member is itself in X
-// (the triangle inequality argument in the landmark package doc), so
-// pruning it cannot change the label of any vertex the index keeps. The
-// resulting index is identical to the unpruned one; the tests verify this
-// property on randomized inputs.
-func (b *bfsScratch) runPruned(g *graph.Graph, q Query, pred EdgePredicate, oracle DistanceOracle) {
-	b.runForward(g, q, pred, oracle)
-	b.runBackward(g, q, pred, oracle)
-}
-
 // BuildIndexOracle constructs the light-weight index with oracle-pruned
 // BFS passes. The oracle must have been built on g (or on a subgraph view
 // whose distances are no smaller) — version-aware oracles (GraphValidator)
@@ -74,7 +59,6 @@ func BuildIndexOracle(g *graph.Graph, q Query, oracle DistanceOracle) (*Index, e
 			return ix, nil
 		}
 	}
-	scratch := newBFSScratch(g.NumVertices())
-	scratch.runPruned(g, q, nil, oracle)
-	return buildIndexFrom(g, q, scratch, nil), nil
+	ix, _, err := buildOneShot(g, q, nil, oracle)
+	return ix, err
 }

@@ -80,6 +80,12 @@ type Result struct {
 	IndexEdges    int64
 	IndexVertices int
 	IndexBytes    int64
+	// BFSVisited is the number of vertices the run's own distance searches
+	// labeled, summed over both sides; a side served by a shared Frontier
+	// contributes 0 (with both sides shared, what the candidate walk
+	// labeled). It is bounded by what the hop budget can reach from both
+	// endpoints, not by |V|.
+	BFSVisited int
 	// MemFallback reports that a join-planned run was demoted to DFS
 	// because the estimator predicted a build side exceeding the
 	// session's remaining memory budget. Path sets are unaffected — DFS

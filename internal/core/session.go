@@ -8,8 +8,9 @@ import (
 )
 
 // Session amortizes per-query allocations across repeated queries on the
-// same graph: the O(|V|) BFS labelings, the index position map and the
-// visited bitmap are allocated once and reused. This targets the paper's
+// same graph: the O(|V|) distance labelings, the index position map and the
+// visited bitmap are allocated once and reused, and a query touches only
+// the entries its budget-bounded labeling reaches. This targets the paper's
 // online scenario, where a service answers a stream of queries against one
 // in-memory graph and garbage-collector pressure matters (DESIGN.md notes
 // GC overhead as the main Go-specific risk).
@@ -70,9 +71,10 @@ func (s *Session) RunContext(ctx context.Context, q Query, opts Options) (*Resul
 // from an older epoch of the graph's lineage reports graph.ErrStaleEpoch
 // under errors.Is. A nil side is computed per query as usual. This is the
 // shared-computation entry point of the batch subsystem (internal/batch)
-// and of the engine's frontier cache: each shared side replaces one
-// per-query BFS pass. Results are identical to RunContext's — frontier
-// labels relax the per-query ones soundly (see Frontier).
+// and of the engine's frontier cache: each shared side stands in for that
+// side's per-query search, and the remaining side is searched only where
+// the shared labels leave budget. Results are identical to RunContext's —
+// frontier labels relax the per-query ones soundly (see Frontier).
 func (s *Session) RunShared(ctx context.Context, q Query, opts Options, fwd, bwd *Frontier) (*Result, error) {
 	return s.ex.executeShared(ctx, q, opts, fwd, bwd)
 }

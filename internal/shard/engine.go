@@ -537,6 +537,7 @@ func (e *Engine) runPhased(ctx context.Context, v *view, r route, req pathenum.R
 		combined.IndexEdges += pr.IndexEdges
 		combined.IndexVertices += pr.IndexVertices
 		combined.IndexBytes += pr.IndexBytes
+		combined.BFSVisited += pr.BFSVisited
 		if !pr.Completed {
 			combined.Completed = false
 		}

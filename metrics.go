@@ -77,6 +77,7 @@ type engineMetrics struct {
 
 	paths        *obs.Counter
 	edges        *obs.Counter
+	bfsVisited   *obs.Counter
 	invalid      *obs.Counter
 	incomplete   *obs.Counter
 	batchQueries *obs.Counter
@@ -158,6 +159,8 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	}
 	m.paths = reg.Counter("pathenum_paths_emitted_total", "Result paths enumerated across all runs.")
 	m.edges = reg.Counter("pathenum_edges_accessed_total", "Neighbor-list entries scanned across all runs.")
+	m.bfsVisited = reg.Counter("pathenum_bfs_visited_total",
+		"Vertices labeled by per-query distance searches across all runs (sides served by a shared frontier add 0).")
 	m.invalid = reg.Counter("pathenum_invalid_partials_total", "Partial results whose subtree produced no path.")
 	m.incomplete = reg.Counter("pathenum_runs_incomplete_total",
 		"Runs stopped early by limit, timeout or consumer cancellation.")
@@ -294,6 +297,7 @@ func (m *engineMetrics) observeRun(res *core.Result) {
 	}
 	m.paths.Add(res.Counters.Results)
 	m.edges.Add(res.Counters.EdgesAccessed)
+	m.bfsVisited.Add(uint64(res.BFSVisited))
 	m.invalid.Add(res.Counters.InvalidPartials)
 	if res.MemFallback {
 		m.memFallbacks.Inc()

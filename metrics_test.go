@@ -53,6 +53,10 @@ func TestMetricsExecuteAndStream(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
+	// Both runs label the whole 4-vertex graph from both ends at most.
+	if got := snap[`pathenum_bfs_visited_total`]; got < 4 || got > 16 {
+		t.Errorf("pathenum_bfs_visited_total = %v after two runs on 4 vertices", got)
+	}
 	for series, want := range map[string]float64{
 		`pathenum_requests_total{op="execute"}`:                 1,
 		`pathenum_requests_total{op="stream"}`:                  1,
