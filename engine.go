@@ -732,8 +732,7 @@ func (e *Engine) frontiers(ctx context.Context, g *Graph, engineOracle DistanceO
 	ver := g.Version()
 	fwd = e.cache.Get(cache.Key{Origin: q.S, Forward: true, Pred: opts.PredicateToken}, q.K, ver)
 	bwd = e.cache.Get(cache.Key{Origin: q.T, Forward: false, Pred: opts.PredicateToken}, q.K, ver)
-	admit := e.admitDegree()
-	if admit < 0 || (fwd != nil && bwd != nil) || ctx.Err() != nil {
+	if (fwd != nil && bwd != nil) || ctx.Err() != nil {
 		return fwd, bwd
 	}
 	oracle := opts.Oracle
@@ -748,24 +747,37 @@ func (e *Engine) frontiers(ctx context.Context, g *Graph, engineOracle DistanceO
 			return fwd, bwd // infeasible: the run's fast path does zero BFS
 		}
 	}
-	buildFwd := fwd == nil && g.OutDegree(q.S) >= admit
-	buildBwd := bwd == nil && g.InDegree(q.T) >= admit
-	if !(buildFwd || buildBwd) || !e.cache.Fits(core.FrontierBytes(g.NumVertices())) {
-		return fwd, bwd // nothing admitted, or Put would refuse the deposit
-	}
-	if buildFwd {
+	if fwd == nil && e.admitsDeposit(g, q.S, true) {
 		if f, err := core.NewForwardFrontier(g, q.S, q.K, opts.Predicate, opts.PredicateToken); err == nil {
 			e.cache.Put(f)
 			fwd = f
 		}
 	}
-	if buildBwd {
+	if bwd == nil && e.admitsDeposit(g, q.T, false) {
 		if f, err := core.NewBackwardFrontier(g, q.T, q.K, opts.Predicate, opts.PredicateToken); err == nil {
 			e.cache.Put(f)
 			bwd = f
 		}
 	}
 	return fwd, bwd
+}
+
+// admitsDeposit is the one admission check for a frontier built only to be
+// deposited — a single query's side, or a batch member's side no other
+// member shares: the endpoint's degree in the frontier's direction reaches
+// EngineConfig.CacheAdmitDegree (negative admits nothing), and the cache
+// could hold the labeling at all (cache.Fits: byte bound, shared budget).
+// Callers ask before building, so a deposit Put must refuse is not built.
+func (e *Engine) admitsDeposit(g *Graph, origin VertexID, forward bool) bool {
+	admit := e.admitDegree()
+	if admit < 0 {
+		return false
+	}
+	deg := g.OutDegree(origin)
+	if !forward {
+		deg = g.InDegree(origin)
+	}
+	return deg >= admit && e.cache.Fits(core.FrontierBytes(g.NumVertices()))
 }
 
 // MergeOptions overlays per-call overrides on the engine's default Options:
@@ -930,36 +942,31 @@ type BatchStats = batch.Stats
 
 // frontierCacheProvider adapts the engine cache to the batch scheduler's
 // FrontierProvider seam, pinning the graph version and predicate token of
-// one batch execution. Deposits follow the same degree-based admission
-// policy as single queries (EngineConfig.CacheAdmitDegree), except that a
-// frontier the planner proved shared — two or more members of this batch
-// use it — is admitted on that evidence alone.
+// one batch execution. Deposits follow the admission check of single
+// queries (Engine.admitsDeposit), which the scheduler consults before it
+// builds a side only one member uses; a frontier the planner proved shared
+// — two or more members of this batch use it — is built for the batch and
+// deposited on that evidence alone.
 type frontierCacheProvider struct {
-	c     *cache.FrontierCache
-	g     *Graph
-	ver   graph.Version
-	tok   core.PredicateToken
-	admit int
+	e   *Engine
+	g   *Graph
+	ver graph.Version
+	tok core.PredicateToken
 }
 
 func (p *frontierCacheProvider) Lookup(origin VertexID, forward bool, k int) *core.Frontier {
-	return p.c.Get(cache.Key{Origin: origin, Forward: forward, Pred: p.tok}, k, p.ver)
+	return p.e.cache.Get(cache.Key{Origin: origin, Forward: forward, Pred: p.tok}, k, p.ver)
+}
+
+func (p *frontierCacheProvider) Admits(origin VertexID, forward bool) bool {
+	return p.e.admitsDeposit(p.g, origin, forward)
 }
 
 func (p *frontierCacheProvider) Store(f *core.Frontier, uses int) bool {
-	if uses < 2 {
-		if p.admit < 0 {
-			return false
-		}
-		deg := p.g.OutDegree(f.Origin())
-		if !f.IsForward() {
-			deg = p.g.InDegree(f.Origin())
-		}
-		if deg < p.admit {
-			return false
-		}
+	if uses < 2 && !p.Admits(f.Origin(), f.IsForward()) {
+		return false
 	}
-	return p.c.Put(f)
+	return p.e.cache.Put(f)
 }
 
 // ExecuteBatch runs the queries through the shared-computation batch
@@ -1008,10 +1015,7 @@ func (e *Engine) newScheduler(g *Graph, pool *sync.Pool, merged Options) *batch.
 		Release: func(s *core.Session) { pool.Put(s) },
 	}
 	if e.cache != nil && (merged.Predicate == nil || merged.PredicateToken != core.PredicateNone) {
-		sch.Frontiers = &frontierCacheProvider{
-			c: e.cache, g: g, ver: g.Version(), tok: merged.PredicateToken,
-			admit: e.admitDegree(),
-		}
+		sch.Frontiers = &frontierCacheProvider{e: e, g: g, ver: g.Version(), tok: merged.PredicateToken}
 	}
 	return sch
 }

@@ -199,3 +199,48 @@ func TestExecuteAllContextCancelDoesNotStallOnSemaphore(t *testing.T) {
 		t.Fatal("no query observed the cancellation")
 	}
 }
+
+// TestExecuteBatchBuildsNoRefusedFrontier: the scheduler asks the cache's
+// admission check before it builds a side only one member uses, so a
+// shared-source batch over low-degree targets — every backward side below
+// CacheAdmitDegree — builds none of them (each would have been a whole
+// k-ball labeling thrown away on deposit) and runs them as the members' own
+// labelings instead: no refused deposit, one counted pass per side as
+// planned, results equal to the naive fan-out.
+func TestExecuteBatchBuildsNoRefusedFrontier(t *testing.T) {
+	g := gen.BarabasiAlbert(2000, 3, 11)
+	e, err := NewEngine(g, EngineConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := VertexID(0)
+	var queries []Query
+	for v := VertexID(1); int(v) < g.NumVertices() && len(queries) < 24; v++ {
+		if g.InDegree(v) < DefaultCacheAdmitDegree {
+			queries = append(queries, Query{S: hub, T: v, K: 4})
+		}
+	}
+	if len(queries) < 24 {
+		t.Fatalf("fixture: %d low-degree targets, want 24", len(queries))
+	}
+	ctx := context.Background()
+	results, errs, stats := e.ExecuteBatch(ctx, queries, Options{})
+	want, wantErrs := e.ExecuteAllContext(ctx, queries, Options{})
+	for i, q := range queries {
+		if errs[i] != nil || wantErrs[i] != nil {
+			t.Fatalf("%v: batch err %v, fan-out err %v", q, errs[i], wantErrs[i])
+		}
+		if results[i].Counters.Results != want[i].Counters.Results {
+			t.Fatalf("%v: batch count %d != fan-out %d", q, results[i].Counters.Results, want[i].Counters.Results)
+		}
+	}
+	if stats.DepositsRefused != 0 {
+		t.Fatalf("DepositsRefused = %d: the batch built frontiers its cache refuses", stats.DepositsRefused)
+	}
+	if stats.BFSPassesRun != stats.BFSPasses {
+		t.Fatalf("BFSPassesRun = %d, planned %d", stats.BFSPassesRun, stats.BFSPasses)
+	}
+	if cs := e.CacheStats(); cs.Entries != 1 {
+		t.Fatalf("cache holds %d frontiers after the batch, want only the hub's forward one (shared by every member)", cs.Entries)
+	}
+}

@@ -74,12 +74,21 @@ func (k GroupKind) String() string {
 // whether the frontier was actually retained; the scheduler only counts
 // refusals (Stats.DepositsRefused) — the batch itself already holds the
 // frontier it built.
+//
+// A shareable frontier is the endpoint's whole k-ball, far more than the
+// budget-bounded labeling a query runs for itself, so a side only one
+// execution uses is worth building only for the deposit. Admits answers
+// that before the build: whether Store(f, 1) would retain a frontier from
+// this endpoint. A side it turns down is never built — the member labels
+// it itself — so Store refuses a once-used frontier only when the
+// provider's room changed in between.
 // Implementations must be safe for concurrent use (the scheduler calls
 // from every worker) and are responsible for version invalidation — a
 // frontier returned by Lookup is still re-validated by the core executor,
 // so a misbehaving provider fails queries rather than corrupting them.
 type FrontierProvider interface {
 	Lookup(origin graph.VertexID, forward bool, k int) *core.Frontier
+	Admits(origin graph.VertexID, forward bool) bool
 	Store(f *core.Frontier, uses int) bool
 }
 

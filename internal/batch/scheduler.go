@@ -457,8 +457,9 @@ func (sch *Scheduler) lookup(origin graph.VertexID, forward bool, k int, passes 
 
 // runOne executes a single query on a pooled session. Each side resolves
 // through the shared pool first (one single-flight BFS per planned shared
-// endpoint), then the provider (cache hit, or build + deposit with
-// uses=1), and otherwise runs as the session's scratch BFS.
+// endpoint), then the provider (cache hit, or — where the provider admits
+// the endpoint — build + deposit with uses=1), and otherwise runs as the
+// session's own labeling.
 func (st *execState) runOne(ctx context.Context, q core.Query) (*core.Result, error) {
 	sch := st.sch
 	fwd, _ := st.pool.resolve(sch, st.g, q.S, true, st.opts, &st.passes)
@@ -484,11 +485,16 @@ func (st *execState) runOne(ctx context.Context, q core.Query) (*core.Result, er
 }
 
 // memberFrontier resolves one per-member BFS side through the provider:
-// cache hit, or build + deposit. Construction errors (e.g. an endpoint
+// cache hit, or build + deposit when the provider would keep the deposit
+// (nobody else in the batch uses this side, so a frontier the provider
+// turns down is not worth building). Construction errors (e.g. an endpoint
 // out of range) return nil so the session's own validation reports them.
 func (sch *Scheduler) memberFrontier(g *graph.Graph, origin graph.VertexID, forward bool, k int, opts core.Options, passes *passCounters) *core.Frontier {
 	if f := sch.lookup(origin, forward, k, passes); f != nil {
 		return f
+	}
+	if !sch.Frontiers.Admits(origin, forward) {
+		return nil
 	}
 	var f *core.Frontier
 	var err error

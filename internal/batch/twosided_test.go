@@ -108,6 +108,8 @@ func (p *mapProvider) Lookup(origin graph.VertexID, forward bool, k int) *core.F
 	return f
 }
 
+func (p *mapProvider) Admits(graph.VertexID, bool) bool { return true }
+
 func (p *mapProvider) Store(f *core.Frontier, uses int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -56,8 +56,11 @@ func (p *cacheProvider) Lookup(origin graph.VertexID, forward bool, k int) *core
 	return p.c.Get(cache.Key{Origin: origin, Forward: forward}, k, p.ver)
 }
 
-// Store deposits unconditionally: the bench isolates cache mechanics, so
-// no admission policy applies (the engine's provider layers one on).
+// Admits and Store deposit unconditionally: the bench isolates cache
+// mechanics, so no admission policy applies (the engine's provider layers
+// one on).
+func (p *cacheProvider) Admits(graph.VertexID, bool) bool { return true }
+
 func (p *cacheProvider) Store(f *core.Frontier, uses int) bool { return p.c.Put(f) }
 
 // Cache measures the cross-batch frontier cache: one generated

@@ -82,7 +82,7 @@ type constrainedSearcher struct {
 	path    []graph.VertexID
 	accs    []float64         // accs[d] = accumulated value at depth d
 	states  []automaton.State // states[d] = automaton state at depth d
-	onPath  []bool
+	onPath  []bool            // indexed by index position
 	ticker  uint32
 	stopped bool
 }
@@ -107,7 +107,7 @@ func EnumerateConstrainedDFS(ix *Index, cons Constraints, ctl RunControl, ctr *C
 		ctl:    ctl,
 		ctr:    ctr,
 		path:   make([]graph.VertexID, 0, ix.k+1),
-		onPath: make([]bool, ix.g.NumVertices()),
+		onPath: make([]bool, len(ix.verts)),
 	}
 	if cons.Accumulate != nil {
 		s.accs = make([]float64, 1, ix.k+1)
@@ -118,8 +118,8 @@ func EnumerateConstrainedDFS(ix *Index, cons Constraints, ctl RunControl, ctr *C
 		s.states[0] = cons.Sequence.Automaton.Start()
 	}
 	s.path = append(s.path, ix.q.S)
-	s.onPath[ix.q.S] = true
-	s.search()
+	s.onPath[ix.sPos] = true
+	s.search(ix.sPos)
 	return !s.stopped, nil
 }
 
@@ -134,10 +134,11 @@ func (s *constrainedSearcher) qualifies() bool {
 	return true
 }
 
-func (s *constrainedSearcher) search() {
+// search expands the last vertex of the partial result, whose position is
+// p. The walk is in positions; the constraints see vertex ids.
+func (s *constrainedSearcher) search(p int32) {
 	ix := s.ix
-	v := s.path[len(s.path)-1]
-	if v == ix.q.T {
+	if p == ix.tPos {
 		if s.qualifies() {
 			s.ctr.Results++
 			if s.ctl.Emit != nil && !s.ctl.Emit(s.path) {
@@ -156,12 +157,14 @@ func (s *constrainedSearcher) search() {
 	}
 	depth := len(s.path) - 1
 	budget := ix.k - depth - 1
-	nbrs := ix.OutUpTo(v, budget)
+	nbrs := ix.outUpToPos(p, budget)
 	s.ctr.EdgesAccessed += uint64(len(nbrs))
-	for _, w := range nbrs {
-		if s.onPath[w] {
+	v := ix.verts[p]
+	for _, wp := range nbrs {
+		if s.onPath[wp] {
 			continue
 		}
+		w := ix.verts[wp]
 		if a := s.cons.Accumulate; a != nil {
 			next := a.Combine(s.accs[depth], a.Value(v, w))
 			if a.Prune != nil && a.Prune(next, budget) {
@@ -177,9 +180,9 @@ func (s *constrainedSearcher) search() {
 			s.states = append(s.states[:depth+1], next)
 		}
 		s.path = append(s.path, w)
-		s.onPath[w] = true
-		s.search()
-		s.onPath[w] = false
+		s.onPath[wp] = true
+		s.search(wp)
+		s.onPath[wp] = false
 		s.path = s.path[:len(s.path)-1]
 		if s.stopped {
 			return

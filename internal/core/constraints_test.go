@@ -373,7 +373,8 @@ func evalPathConstraints(cons Constraints, p []graph.VertexID) bool {
 
 // TestConstraintsJoinPostFilterEquivalence is the regression test behind
 // the RunConstrained note: per-tuple validation under the streaming
-// constrained pipeline (StreamConstrained's DFS) must yield exactly the
+// constrained pipeline (a session stream with StreamConfig.Constraints)
+// must yield exactly the
 // same result set as whole-tuple post-filtering over the streaming join,
 // for predicate + accumulative + label-sequence constraints, across every
 // cut position and both build sides.
@@ -411,7 +412,7 @@ func TestConstraintsJoinPostFilterEquivalence(t *testing.T) {
 		}
 
 		// Per-tuple validation, streamed (the shipping pipeline).
-		want := streamPaths(t, StreamConstrained(context.Background(), g, q, cons, Options{}, StreamConfig{}))
+		want := streamPaths(t, NewSession(g, nil).StreamWith(context.Background(), q, Options{Predicate: pred}, StreamConfig{Constraints: &cons}))
 
 		// Whole-tuple post-filter over the streaming join on the
 		// predicate-filtered index.

@@ -30,15 +30,31 @@ type RunControl struct {
 // stopCheckInterval balances deadline responsiveness against polling cost.
 const stopCheckInterval = 1024
 
-// dfsSearcher is the state of one Algorithm-4 run.
+// dfsSearcher is the state of one Algorithm-4 run. The search walks index
+// positions; path carries the vertex ids Emit receives.
 type dfsSearcher struct {
 	ix      *Index
 	ctl     RunControl
 	ctr     *Counters
 	path    []graph.VertexID
-	onPath  []bool // indexed by vertex id
+	onPath  []bool // indexed by index position
 	ticker  uint32
 	stopped bool
+}
+
+// newDFSSearcher returns a searcher whose partial result is s alone; the
+// caller continues with search(ix.sPos) or seeds a first hop itself.
+func newDFSSearcher(ix *Index, ctl RunControl, ctr *Counters) *dfsSearcher {
+	s := &dfsSearcher{
+		ix:     ix,
+		ctl:    ctl,
+		ctr:    ctr,
+		path:   make([]graph.VertexID, 0, ix.k+1),
+		onPath: make([]bool, len(ix.verts)),
+	}
+	s.path = append(s.path, ix.q.S)
+	s.onPath[ix.sPos] = true
+	return s
 }
 
 // EnumerateDFS runs the depth-first search on the index (Algorithm 4) and
@@ -51,26 +67,17 @@ func EnumerateDFS(ix *Index, ctl RunControl, ctr *Counters) bool {
 	if ix.Empty() {
 		return true
 	}
-	s := &dfsSearcher{
-		ix:     ix,
-		ctl:    ctl,
-		ctr:    ctr,
-		path:   make([]graph.VertexID, 0, ix.k+1),
-		onPath: make([]bool, ix.g.NumVertices()),
-	}
-	s.path = append(s.path, ix.q.S)
-	s.onPath[ix.q.S] = true
-	s.search()
+	s := newDFSSearcher(ix, ctl, ctr)
+	s.search(ix.sPos)
 	return !s.stopped
 }
 
-// search expands the last vertex of the current partial result M and
-// returns the number of results found in its subtree (used to detect
-// invalid partial results).
-func (s *dfsSearcher) search() uint64 {
+// search expands the last vertex of the current partial result M, whose
+// position is p, and returns the number of results found in its subtree
+// (used to detect invalid partial results).
+func (s *dfsSearcher) search(p int32) uint64 {
 	ix := s.ix
-	v := s.path[len(s.path)-1]
-	if v == ix.q.T {
+	if p == ix.tPos {
 		s.ctr.Results++
 		if s.ctl.Emit != nil && !s.ctl.Emit(s.path) {
 			s.stopped = true
@@ -86,17 +93,17 @@ func (s *dfsSearcher) search() uint64 {
 		return 0
 	}
 	budget := ix.k - (len(s.path) - 1) - 1 // k - L(M) - 1
-	nbrs := ix.OutUpTo(v, budget)
+	nbrs := ix.outUpToPos(p, budget)
 	s.ctr.EdgesAccessed += uint64(len(nbrs))
 	var found uint64
-	for _, w := range nbrs {
-		if s.onPath[w] {
+	for _, wp := range nbrs {
+		if s.onPath[wp] {
 			continue
 		}
-		s.path = append(s.path, w)
-		s.onPath[w] = true
-		sub := s.search()
-		s.onPath[w] = false
+		s.path = append(s.path, ix.verts[wp])
+		s.onPath[wp] = true
+		sub := s.search(wp)
+		s.onPath[wp] = false
 		s.path = s.path[:len(s.path)-1]
 		if sub == 0 {
 			s.ctr.InvalidPartials++

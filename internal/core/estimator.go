@@ -94,8 +94,7 @@ func FullEstimate(ix *Index) *Estimate {
 
 	// Backward DP: c^k_k(t) = 1; c^i_k(v) = sum over w in It(v, k-i-1)
 	// restricted to C_{i+1} of c^{i+1}_k(w).
-	tPos := ix.pos[ix.q.T]
-	est.toT[k][tPos] = 1
+	est.toT[k][ix.tPos] = 1
 	est.SumToT[k] = 1
 	for i := k - 1; i >= 0; i-- {
 		row, next := est.toT[i], est.toT[i+1]
@@ -105,8 +104,7 @@ func FullEstimate(ix *Index) *Estimate {
 				continue
 			}
 			var c uint64
-			for _, w := range ix.outUpToPos(p, k-i-1) {
-				wp := ix.pos[w]
+			for _, wp := range ix.outUpToPos(p, k-i-1) {
 				if int(ix.vs[wp]) <= i+1 { // w in C_{i+1}; w.t bound holds via It
 					c = satAdd(c, next[wp])
 				}
@@ -119,8 +117,7 @@ func FullEstimate(ix *Index) *Estimate {
 
 	// Forward DP: c^0_0(s) = 1; c^0_i(v) = sum over w in Is(v, i-1)
 	// restricted to C_{i-1} of c^0_{i-1}(w).
-	sPos := ix.pos[ix.q.S]
-	est.fromS[0][sPos] = 1
+	est.fromS[0][ix.sPos] = 1
 	est.SumFromS[0] = 1
 	for i := 1; i <= k; i++ {
 		row, prev := est.fromS[i], est.fromS[i-1]
@@ -130,8 +127,7 @@ func FullEstimate(ix *Index) *Estimate {
 				continue
 			}
 			var c uint64
-			for _, w := range ix.inUpToPos(p, i-1) {
-				wp := ix.pos[w]
+			for _, wp := range ix.inUpToPos(p, i-1) {
 				if int(ix.vt[wp]) <= k-(i-1) { // w in C_{i-1}; w.s bound via Is
 					c = satAdd(c, prev[wp])
 				}

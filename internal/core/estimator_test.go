@@ -209,8 +209,7 @@ func TestEstimatePositionAccessors(t *testing.T) {
 	g := paperGraph(t)
 	ix := mustIndex(t, g, paperQuery())
 	est := FullEstimate(ix)
-	sPos := ix.pos[vS]
-	tPos := ix.pos[vT]
+	sPos, tPos := ix.sPos, ix.tPos
 	if got := est.WalksToPosition(0, sPos); got != 1 {
 		t.Fatalf("c^0_0(s) = %d, want 1", got)
 	}

@@ -13,10 +13,13 @@ import (
 // executor owns the build → optimize → enumerate pipeline behind every
 // query entry point: core.Run/RunContext, Session.Run/RunContext and (via
 // sessions) the public Engine. Buffer reuse is pluggable — a long-lived
-// executor allocates the O(|V|) distance labelings, position map and
-// visited bitmap once and each query touches (and afterwards resets) only
-// the entries its budget-bounded labeling reaches, while one-shot runs
-// simply use a throwaway executor and pay the allocations once.
+// executor allocates the O(|V|) distance labelings and the build's position
+// map once and each query touches (and afterwards resets) only the entries
+// its budget-bounded labeling reaches, while one-shot runs simply use a
+// throwaway executor and pay the allocations once. Only the labeling and
+// the index build are |V|-addressed: the enumerators run on the finished
+// index, in its positions, with per-run |X|-sized state of their own, so
+// the executor calls the same EnumerateDFS / EnumerateJoinSide everyone does.
 //
 // An executor is NOT safe for concurrent use; Session inherits that
 // restriction and the Engine keeps one per worker.
@@ -24,8 +27,6 @@ type executor struct {
 	g       *graph.Graph
 	scratch *bfsScratch
 	pos     *posMap
-	onPath  []bool  // allocated lazily by the first DFS enumeration
-	seen    []int32 // allocated lazily by the first join: path validation epochs
 	oracle  DistanceOracle
 	budget  *mem.Budget // nil = unbudgeted; admits join build sides
 }
@@ -44,13 +45,13 @@ func newExecutor(g *graph.Graph, oracle DistanceOracle) *executor {
 // session's pooled per-query scratch on an n-vertex graph: the two distance
 // labelings and their two visit lists (4 bytes per vertex each; a list
 // holds every vertex only when a search labels the whole graph, but it
-// keeps the capacity it grew to), the index position map (4), the DFS
-// visited bitmap (1) and the join validation epochs (4): 25 bytes per
-// vertex; the O(k) path buffers are noise against that. The engine
+// keeps the capacity it grew to) and the index build's position map (4):
+// 20 bytes per vertex. Enumeration state is per run and sized by the
+// query's index, not by the graph, so it is not session scratch. The engine
 // charges this per pooled session under mem.ClassScratch — the scratch
 // is not optional, so it is accounted with Budget.Must and the effective
 // budget is floored at the scratch requirement.
-func SessionScratchBytes(n int) int64 { return int64(n) * 25 }
+func SessionScratchBytes(n int) int64 { return int64(n) * 20 }
 
 // execute runs one query through the full pipeline: oracle feasibility
 // check, index construction (Algorithm 3), plan selection (§6) and
@@ -64,7 +65,7 @@ func SessionScratchBytes(n int) int64 { return int64(n) * 25 }
 // only through the hook — the build phase is O(|E|) bounded and was never
 // deadline-checked.
 func (e *executor) execute(ctx context.Context, q Query, opts Options) (*Result, error) {
-	return e.executeShared(ctx, q, opts, nil, nil)
+	return e.executeShared(ctx, q, opts, nil, nil, nil)
 }
 
 // executeShared is execute with optionally precomputed distance labelings:
@@ -77,9 +78,20 @@ func (e *executor) execute(ctx context.Context, q Query, opts Options) (*Result,
 // Result.Timings.BFS and Result.BFSVisited cover only the per-query
 // searches actually run, and index statistics may report a slightly
 // larger (superset) index.
-func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd, bwd *Frontier) (*Result, error) {
+//
+// A non-nil cons makes this a constrained query (Appendix E): the same
+// labeling, index and cancellation points, the plan fixed to the sequential
+// index DFS, and EnumerateConstrainedDFS as the enumeration step. The edge
+// predicate is opts.Predicate, as for any query; cons.Predicate is not read.
+func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd, bwd *Frontier, cons *Constraints) (*Result, error) {
 	if err := q.Validate(e.g); err != nil {
 		return nil, err
+	}
+	if cons != nil {
+		if err := cons.validate(); err != nil {
+			return nil, err
+		}
+		opts.Method, opts.Parallelism = MethodDFS, 0
 	}
 	if fwd != nil {
 		if err := fwd.compatible(e.g, q, true, opts.Predicate, opts.PredicateToken); err != nil {
@@ -161,37 +173,27 @@ func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd
 	ctl := RunControl{Emit: opts.Emit, Limit: opts.Limit, ShouldStop: shouldStop}
 	par := opts.Parallelism
 	enumStart := time.Now()
-	switch res.Plan.Method {
-	case MethodJoin:
+	var err error
+	switch {
+	case cons != nil:
+		res.Completed, err = EnumerateConstrainedDFS(ix, *cons, ctl, &res.Counters)
+	case res.Plan.Method == MethodJoin:
 		// The plan resolved the build side from the estimate it already
 		// computed; the probe side streams through ctl.Emit tuple-at-a-time,
 		// so a pull consumer (Session.Stream) gets its first joined path
 		// after building only the smaller half.
-		var done bool
-		var err error
 		if par > 1 {
-			done, err = EnumerateJoinSideParallel(ix, res.Plan.Cut, res.Plan.Build, par, ctl, &res.Counters, &res.JoinStats)
+			res.Completed, err = EnumerateJoinSideParallel(ix, res.Plan.Cut, res.Plan.Build, par, ctl, &res.Counters, &res.JoinStats)
 		} else {
-			// Sequential joins validate through the session's pooled seen
-			// buffer instead of a per-run O(|V|) make (cleared here: the
-			// enumerator's epoch counter restarts at zero every run).
-			if e.seen == nil {
-				e.seen = make([]int32, e.g.NumVertices())
-			} else {
-				clear(e.seen)
-			}
-			done, err = enumerateJoinSideSeen(ix, res.Plan.Cut, res.Plan.Build, e.seen, ctl, &res.Counters, &res.JoinStats)
+			res.Completed, err = EnumerateJoinSide(ix, res.Plan.Cut, res.Plan.Build, ctl, &res.Counters, &res.JoinStats)
 		}
-		if err != nil {
-			return nil, err
-		}
-		res.Completed = done
+	case par > 1:
+		res.Completed = EnumerateDFSParallel(ix, par, ctl, &res.Counters)
 	default:
-		if par > 1 {
-			res.Completed = EnumerateDFSParallel(ix, par, ctl, &res.Counters)
-		} else {
-			res.Completed = e.enumerateDFS(ix, ctl, &res.Counters)
-		}
+		res.Completed = EnumerateDFS(ix, ctl, &res.Counters)
+	}
+	if err != nil {
+		return nil, err
 	}
 	res.Timings.Enumerate = time.Since(enumStart)
 	return res, nil
@@ -266,37 +268,10 @@ func predictedBuildBytes(est *Estimate, cut int, side BuildSide) int64 {
 	return int64(tuples * per)
 }
 
-// enumerateDFS is EnumerateDFS with the executor's reusable visited bitmap.
-// The bitmap is clean on entry and restored to clean on exit (the search
-// unsets every bit it sets; early stops sweep the residual path).
-func (e *executor) enumerateDFS(ix *Index, ctl RunControl, ctr *Counters) bool {
-	if ix.Empty() {
-		return true
-	}
-	if e.onPath == nil {
-		e.onPath = make([]bool, e.g.NumVertices())
-	}
-	ds := &dfsSearcher{
-		ix:     ix,
-		ctl:    ctl,
-		ctr:    ctr,
-		path:   make([]graph.VertexID, 0, ix.k+1),
-		onPath: e.onPath,
-	}
-	ds.path = append(ds.path, ix.q.S)
-	ds.onPath[ix.q.S] = true
-	ds.search()
-	ds.onPath[ix.q.S] = false
-	// On early stop the recursion may leave bits set; sweep the path.
-	for _, v := range ds.path {
-		ds.onPath[v] = false
-	}
-	return !ds.stopped
-}
-
-// posMap is the reusable vertex -> index position map an Index borrows.
-// pos is -1 everywhere except at the vertices of the index it last served
-// (set), so handing it to the next build costs O(|X|), not O(|V|).
+// posMap is the reusable vertex -> index position map of index builds: the
+// build needs it to turn neighbor ids into positions, the finished Index
+// does not. pos is -1 everywhere except at the vertices of the index it last
+// served (set), so handing it to the next build costs O(|X|), not O(|V|).
 type posMap struct {
 	pos []int32
 	set []graph.VertexID
@@ -305,8 +280,9 @@ type posMap struct {
 func newPosMap(n int) *posMap { return &posMap{pos: minusOnes(n)} }
 
 // buildIndex assembles the index from a completed labeling (lines 2-11 of
-// Algorithm 3). The index borrows pm: it is valid until the next build that
-// reuses pm. The distance arrays and the candidate list are only read. X is
+// Algorithm 3). pm, the distance arrays and the candidate list serve the build
+// only: the index owns everything it keeps (pm remembers ix.verts, which
+// nobody writes, as its reset list). X is
 // the candidates that pass inX; all of V is walked only when the candidates
 // are a sweepShare-th of it or more, so the build stays O(touched).
 func buildIndex(g *graph.Graph, q Query, lab labeling, pred EdgePredicate, pm *posMap) *Index {
@@ -315,9 +291,9 @@ func buildIndex(g *graph.Graph, q Query, lab labeling, pred EdgePredicate, pm *p
 	distS, distT := lab.distS, lab.distT
 
 	ix := &Index{g: g, q: q, k: k, pred: pred}
-	ix.pos = pm.pos
+	pos := pm.pos
 	for _, v := range pm.set {
-		pm.pos[v] = -1
+		pos[v] = -1
 	}
 	pm.set = nil
 
@@ -354,12 +330,13 @@ func buildIndex(g *graph.Graph, q Query, lab labeling, pred EdgePredicate, pm *p
 	ix.vs = make([]int32, m)
 	ix.vt = make([]int32, m)
 	for p, v := range ix.verts {
-		ix.pos[v] = int32(p)
+		pos[v] = int32(p)
 		ix.vs[p] = distS[v]
 		ix.vt[p] = distT[v]
 	}
-	ix.buildForward(distT)
-	ix.buildReverse(distS)
+	ix.sPos, ix.tPos = pos[q.S], pos[q.T]
+	ix.buildForward(distT, pos)
+	ix.buildReverse(pos)
 	ix.collectStats()
 	return ix
 }

@@ -119,7 +119,7 @@ func TestSessionRunContextCancel(t *testing.T) {
 	if _, err := sess.RunContext(ctx, Query{S: 0, T: 1, K: 6}, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled session run: err = %v, want context.Canceled", err)
 	}
-	// The visited bitmap must be swept and the next run must answer fully.
+	// The cancelled run leaves nothing behind: the next run answers fully.
 	res2, err := sess.RunContext(context.Background(), Query{S: 0, T: 1, K: 3}, Options{Method: MethodDFS})
 	if err != nil {
 		t.Fatal(err)

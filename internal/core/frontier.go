@@ -44,7 +44,7 @@ const PredicateNone PredicateToken = 0
 // partition, and neither enumerator can emit an invalid result from extra
 // index entries — the DFS (Algorithm 4) checks simplicity and the hop
 // budget on the path itself, and the join (Algorithm 6) validates every
-// joined tuple with validatePath. The extra entries cost only wasted
+// joined tuple (joinPath). The extra entries cost only wasted
 // exploration, which the batch planner trades against the saved BFS
 // passes. TestRunSharedMatchesRun cross-checks the emitted path sets.
 //

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"pathenum/internal/graph"
@@ -18,6 +19,12 @@ import (
 //   - the mirrored in-neighbor lists sorted by w.s for Is(v,b), used by the
 //     backward dynamic program of the join-order optimizer (Algorithm 5).
 //
+// X is numbered densely: the vertex at position p is verts[p] (ascending
+// id), and everything else — labels, adjacency, the searchers' state — is
+// addressed by position, so nothing that walks the index is sized by |V|.
+// Vertex ids reappear only where a path is handed to a caller. An Index
+// owns all of its storage and stays valid for as long as it is referenced.
+//
 // Following the relation construction of §3.1, edges into s and out of t
 // are excluded, and t carries the single padding self-loop (t,t) so that
 // paths shorter than k survive the chain join (property 3 of §3.1).
@@ -31,16 +38,16 @@ type Index struct {
 
 	empty bool // s or t fell outside X: the query has no results
 
-	verts []graph.VertexID // vertices of X in ascending id order
-	pos   []int32          // vertex -> dense position in verts, -1 if not in X
-	vs    []int32          // per dense position: v.s
-	vt    []int32          // per dense position: v.t
+	verts      []graph.VertexID // vertices of X in ascending id order
+	sPos, tPos int32            // positions of q.S and q.T
+	vs         []int32          // per position: v.s
+	vt         []int32          // per position: v.t
 
-	fwdNbrs []graph.VertexID
+	fwdNbrs []int32 // positions
 	fwdBase []int64 // len(verts)+1
 	fwdOff  []int32 // len(verts)*(k+2) prefix counts keyed by w.t
 
-	revNbrs []graph.VertexID
+	revNbrs []int32 // positions
 	revBase []int64
 	revOff  []int32 // prefix counts keyed by w.s
 
@@ -95,8 +102,10 @@ func buildOneShot(g *graph.Graph, q Query, pred EdgePredicate, oracle DistanceOr
 	return ix, IndexBuildTimings{BFS: bfs, Total: time.Since(start)}, nil
 }
 
-// buildForward fills the neighbor lists sorted by w.t (lines 5-11).
-func (ix *Index) buildForward(distT []int32) {
+// buildForward fills the neighbor lists sorted by w.t (lines 5-11). A kept
+// edge v->w has v.s + w.t + 1 <= k, and the labeling reached w from v, so
+// w.s + w.t <= k: every kept target is in X and pos[w] is its position.
+func (ix *Index) buildForward(distT, pos []int32) {
 	g, q, k := ix.g, ix.q, ix.k
 	m := len(ix.verts)
 	k32 := int32(k)
@@ -127,30 +136,30 @@ func (ix *Index) buildForward(distT []int32) {
 		ix.fwdBase[p+1] = ix.fwdBase[p] + cnt
 	}
 	total := ix.fwdBase[m]
-	ix.fwdNbrs = make([]graph.VertexID, total)
+	ix.fwdNbrs = make([]int32, total)
 	ix.fwdOff = make([]int32, m*(k+2))
 	ix.edges = total - 1 // exclude the (t,t) loop
 
-	var buckets [][]graph.VertexID // per-distance buckets for counting sort
+	var buckets [][]int32 // per-distance buckets for counting sort
 	for p, v := range ix.verts {
 		off := ix.fwdOff[p*(k+2) : (p+1)*(k+2)]
 		base := ix.fwdBase[p]
 		if v == q.T {
-			ix.fwdNbrs[base] = q.T
+			ix.fwdNbrs[base] = ix.tPos
 			for d := 1; d <= k+1; d++ {
 				off[d] = 1 // t.t = 0, so every non-empty budget sees the loop
 			}
 			continue
 		}
 		if buckets == nil {
-			buckets = make([][]graph.VertexID, k+1)
+			buckets = make([][]int32, k+1)
 		}
 		for d := range buckets {
 			buckets[d] = buckets[d][:0]
 		}
 		for _, w := range g.OutNeighbors(v) {
 			if keep(p, v, w) {
-				buckets[distT[w]] = append(buckets[distT[w]], w)
+				buckets[distT[w]] = append(buckets[distT[w]], pos[w])
 			}
 		}
 		cursor := base
@@ -166,25 +175,28 @@ func (ix *Index) buildForward(distT []int32) {
 
 // buildReverse fills the mirrored in-neighbor lists sorted by w.s. The edge
 // set is identical to the forward one: this is only a second access path.
-func (ix *Index) buildReverse(distS []int32) {
+func (ix *Index) buildReverse(pos []int32) {
 	g, q, k := ix.g, ix.q, ix.k
 	m := len(ix.verts)
 	k32 := int32(k)
 
-	keep := func(p int, v, w graph.VertexID) bool {
-		// w -> v must be a forward index edge: w in X - {t}, v != s,
-		// w.s + v.t + 1 <= k.
+	// source returns the position of w when w -> v is a forward index edge
+	// (w in X - {t}, v != s, w.s + v.t + 1 <= k), and -1 otherwise.
+	source := func(p int, v, w graph.VertexID) int32 {
 		if w == q.T {
-			return false
+			return -1
 		}
-		wp := ix.pos[w]
+		wp := pos[w]
 		if wp < 0 {
-			return false
+			return -1
 		}
 		if ix.pred != nil && !ix.pred(w, v) {
-			return false
+			return -1
 		}
-		return ix.vs[wp]+ix.vt[p]+1 <= k32
+		if ix.vs[wp]+ix.vt[p]+1 > k32 {
+			return -1
+		}
+		return wp
 	}
 
 	ix.revBase = make([]int64, m+1)
@@ -192,7 +204,7 @@ func (ix *Index) buildReverse(distS []int32) {
 		cnt := int64(0)
 		if v != q.S {
 			for _, w := range g.InNeighbors(v) {
-				if keep(p, v, w) {
+				if source(p, v, w) >= 0 {
 					cnt++
 				}
 			}
@@ -202,10 +214,10 @@ func (ix *Index) buildReverse(distS []int32) {
 		}
 		ix.revBase[p+1] = ix.revBase[p] + cnt
 	}
-	ix.revNbrs = make([]graph.VertexID, ix.revBase[m])
+	ix.revNbrs = make([]int32, ix.revBase[m])
 	ix.revOff = make([]int32, m*(k+2))
 
-	var buckets [][]graph.VertexID
+	var buckets [][]int32
 	for p, v := range ix.verts {
 		off := ix.revOff[p*(k+2) : (p+1)*(k+2)]
 		base := ix.revBase[p]
@@ -213,19 +225,19 @@ func (ix *Index) buildReverse(distS []int32) {
 			continue // no in-edges; off stays all zero
 		}
 		if buckets == nil {
-			buckets = make([][]graph.VertexID, k+1)
+			buckets = make([][]int32, k+1)
 		}
 		for d := range buckets {
 			buckets[d] = buckets[d][:0]
 		}
 		for _, w := range g.InNeighbors(v) {
-			if keep(p, v, w) {
-				buckets[distS[w]] = append(buckets[distS[w]], w)
+			if wp := source(p, v, w); wp >= 0 {
+				buckets[ix.vs[wp]] = append(buckets[ix.vs[wp]], wp)
 			}
 		}
 		if v == q.T {
 			// t.s is the s->t distance; the loop joins t's own bucket.
-			buckets[ix.vs[p]] = append(buckets[ix.vs[p]], q.T)
+			buckets[ix.vs[p]] = append(buckets[ix.vs[p]], ix.tPos)
 		}
 		cursor := base
 		for d := 0; d <= k; d++ {
@@ -278,39 +290,58 @@ func (ix *Index) Edges() int64 {
 	return ix.edges
 }
 
+// The accessors below address the index by vertex id, for tests and
+// diagnostics; the searchers use positions. Each costs a binary search of
+// verts, O(log |X|).
+
+// position returns the position of v in X, or -1 if v is outside X.
+func (ix *Index) position(v graph.VertexID) int32 {
+	if p, ok := slices.BinarySearch(ix.verts, v); ok {
+		return int32(p)
+	}
+	return -1
+}
+
+// ids translates a position list into a fresh list of vertex ids.
+func (ix *Index) ids(ps []int32) []graph.VertexID {
+	out := make([]graph.VertexID, len(ps))
+	for i, p := range ps {
+		out[i] = ix.verts[p]
+	}
+	return out
+}
+
 // InX reports whether v belongs to the partition X.
-func (ix *Index) InX(v graph.VertexID) bool { return !ix.empty && ix.pos[v] >= 0 }
+func (ix *Index) InX(v graph.VertexID) bool { return ix.position(v) >= 0 }
 
 // DistS returns v.s, or -1 if v is outside X.
 func (ix *Index) DistS(v graph.VertexID) int32 {
-	if ix.empty || ix.pos[v] < 0 {
-		return -1
+	if p := ix.position(v); p >= 0 {
+		return ix.vs[p]
 	}
-	return ix.vs[ix.pos[v]]
+	return -1
 }
 
 // DistT returns v.t, or -1 if v is outside X.
 func (ix *Index) DistT(v graph.VertexID) int32 {
-	if ix.empty || ix.pos[v] < 0 {
-		return -1
+	if p := ix.position(v); p >= 0 {
+		return ix.vt[p]
 	}
-	return ix.vt[ix.pos[v]]
+	return -1
 }
 
 // OutUpTo implements It(v, b): the out-neighbors w of v in the index with
-// w.t <= b, sorted ascending by w.t. The slice aliases index storage. O(1).
+// w.t <= b, sorted ascending by w.t, as a fresh slice of vertex ids.
 func (ix *Index) OutUpTo(v graph.VertexID, b int) []graph.VertexID {
-	if ix.empty {
-		return nil
+	if p := ix.position(v); p >= 0 {
+		return ix.ids(ix.outUpToPos(p, b))
 	}
-	p := ix.pos[v]
-	if p < 0 {
-		return nil
-	}
-	return ix.outUpToPos(p, b)
+	return nil
 }
 
-func (ix *Index) outUpToPos(p int32, b int) []graph.VertexID {
+// outUpToPos is It(verts[p], b) in positions. The slice aliases index
+// storage. O(1).
+func (ix *Index) outUpToPos(p int32, b int) []int32 {
 	if b < 0 {
 		return nil
 	}
@@ -323,19 +354,17 @@ func (ix *Index) outUpToPos(p int32, b int) []graph.VertexID {
 }
 
 // InUpTo implements Is(v, b): the in-neighbors w of v in the index with
-// w.s <= b, sorted ascending by w.s. The slice aliases index storage. O(1).
+// w.s <= b, sorted ascending by w.s, as a fresh slice of vertex ids.
 func (ix *Index) InUpTo(v graph.VertexID, b int) []graph.VertexID {
-	if ix.empty {
-		return nil
+	if p := ix.position(v); p >= 0 {
+		return ix.ids(ix.inUpToPos(p, b))
 	}
-	p := ix.pos[v]
-	if p < 0 {
-		return nil
-	}
-	return ix.inUpToPos(p, b)
+	return nil
 }
 
-func (ix *Index) inUpToPos(p int32, b int) []graph.VertexID {
+// inUpToPos is Is(verts[p], b) in positions. The slice aliases index
+// storage. O(1).
+func (ix *Index) inUpToPos(p int32, b int) []int32 {
 	if b < 0 {
 		return nil
 	}
@@ -372,8 +401,7 @@ func (ix *Index) ForEachLevel(i int, fn func(v graph.VertexID)) {
 
 // MemoryBytes estimates the resident size of the index (Table 7).
 func (ix *Index) MemoryBytes() int64 {
-	b := int64(len(ix.pos))*4 + int64(len(ix.verts))*4
-	b += int64(len(ix.vs))*4 + int64(len(ix.vt))*4
+	b := int64(len(ix.verts))*4 + int64(len(ix.vs))*4 + int64(len(ix.vt))*4
 	b += int64(len(ix.fwdNbrs))*4 + int64(len(ix.fwdBase))*8 + int64(len(ix.fwdOff))*4
 	b += int64(len(ix.revNbrs))*4 + int64(len(ix.revBase))*8 + int64(len(ix.revOff))*4
 	b += int64(len(ix.cSize))*8 + int64(len(ix.sumIt))*8

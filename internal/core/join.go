@@ -71,55 +71,21 @@ func (s BuildSide) String() string {
 	}
 }
 
-// joinSearcher materializes one side of the cut with the index DFS of
-// Algorithm 6 (procedure Search): it collects *walks* — no duplicate-vertex
-// check — of a fixed vertex count; path validity is checked at join time,
-// as §6.3 prescribes. The streaming join uses it only for the build side.
-type joinSearcher struct {
-	ix       *Index
-	tuples   []graph.VertexID // flat storage, stride = tupleLen
-	tupleLen int
-	startPos int // absolute position of the first tuple vertex in Q
-	buf      []graph.VertexID
-	ctr      *Counters
-	ctl      *RunControl
-	ticker   uint32
-	stopped  bool
-}
-
-func (js *joinSearcher) search() {
-	depth := len(js.buf)
-	if depth == js.tupleLen {
-		js.tuples = append(js.tuples, js.buf...)
-		return
-	}
-	js.ticker++
-	if js.ticker%stopCheckInterval == 0 && js.ctl.ShouldStop != nil && js.ctl.ShouldStop() {
-		js.stopped = true
-		return
-	}
-	v := js.buf[depth-1]
-	// Budget: k - i - L(M) - 1 where i is the sub-query start position.
-	budget := js.ix.k - js.startPos - (depth - 1) - 1
-	nbrs := js.ix.OutUpTo(v, budget)
-	js.ctr.EdgesAccessed += uint64(len(nbrs))
-	for _, w := range nbrs {
-		js.buf = append(js.buf, w)
-		js.search()
-		js.buf = js.buf[:depth]
-		if js.stopped {
-			return
-		}
-	}
-}
-
 // joinEnumerator is the tuple-at-a-time join of Algorithm 6: the build
-// side is materialized once into hash buckets keyed by the cut vertex,
-// then the probe side's index DFS runs lazily — each completed probe walk
-// is joined against its bucket, validated and emitted immediately, before
-// the DFS advances. Under an unbuffered stream the Emit inside emitJoined
-// is the consumer's yield, so the probe recursion suspends mid-walk
-// between pulls and stops dead when the consumer leaves.
+// side is materialized once and bucketed by cut vertex, then the probe
+// side's index DFS runs lazily — each completed probe walk is joined
+// against its bucket, validated and emitted immediately, before the DFS
+// advances. Under an unbuffered stream the Emit inside emitJoined is the
+// consumer's yield, so the probe recursion suspends mid-walk between pulls
+// and stops dead when the consumer leaves.
+//
+// Both sides are *walks* of a fixed vertex count, collected by one index
+// DFS (procedure Search of Algorithm 6) with no duplicate-vertex check;
+// path validity is checked at join time, as §6.3 prescribes. Walks, buckets
+// and validation state are index positions, |X|-sized; the joined walk
+// becomes vertex ids in path, in the pass that validates it. After build
+// the build side (tuples, buckets, order) is read-only, and prober clones
+// share it.
 type joinEnumerator struct {
 	ix  *Index
 	cut int
@@ -127,25 +93,58 @@ type joinEnumerator struct {
 	ctr *Counters
 
 	buildLeft bool
-	buildLen  int              // vertices per build tuple
-	tuples    []graph.VertexID // build-side walks, flat, stride buildLen
-	buckets   map[graph.VertexID][]int32
-	order     []graph.VertexID // distinct cut vertices of Ra, probe order
+	buildLen  int     // vertices per build tuple
+	tuples    []int32 // build-side walks, flat, stride buildLen
+	// The build tuples grouped by cut vertex: those with the cut vertex at
+	// position c are numbers bucketIdx[bucketOff[c]:bucketOff[c+1]].
+	bucketOff []int32
+	bucketIdx []int32
+	order     []int32 // distinct cut vertices of Ra, probe order
 
-	probeLen   int
-	probeBuf   []graph.VertexID
-	joined     []graph.VertexID
-	seen       []int32
+	probeLen int
+	// The in-flight walk. While building it grows to buildLen vertices and
+	// is appended to tuples; probing, to probeLen, and is joined at once.
+	building   bool
+	buf        []int32
+	path       []graph.VertexID // the joined walk as handed to Emit
+	seen       []int32          // per position: epoch of the last walk through it
 	vepoch     int32
 	ticker     uint32
 	probeWalks int64
 	stopped    bool
 
-	// buildTime/probeTime are stamped by the entry points around the two
+	// buildTime/probeTime are stamped by enumerateJoin around the two
 	// phases (per run, not per tuple — the hot loops stay clock-free) and
 	// copied out by fill.
 	buildTime time.Duration
 	probeTime time.Duration
+}
+
+func newJoinEnumerator(ix *Index, cut int, buildLeft bool, ctl *RunControl, ctr *Counters) *joinEnumerator {
+	je := &joinEnumerator{
+		ix:        ix,
+		cut:       cut,
+		ctl:       ctl,
+		ctr:       ctr,
+		buildLeft: buildLeft,
+		buildLen:  cut + 1,
+		probeLen:  ix.k - cut + 1,
+		buf:       make([]int32, 0, ix.k+1),
+		path:      make([]graph.VertexID, ix.k+1),
+		seen:      make([]int32, len(ix.verts)),
+	}
+	if !buildLeft {
+		je.buildLen, je.probeLen = je.probeLen, je.buildLen
+	}
+	return je
+}
+
+// prober returns an enumerator over je's finished build side with its own
+// walk buffer, validation state, control and counters: one parallel shard.
+func (je *joinEnumerator) prober(ctl *RunControl, ctr *Counters) *joinEnumerator {
+	p := newJoinEnumerator(je.ix, je.cut, je.buildLeft, ctl, ctr)
+	p.tuples, p.bucketOff, p.bucketIdx = je.tuples, je.bucketOff, je.bucketIdx
+	return p
 }
 
 // EnumerateJoin runs the tuple-at-a-time join on the index (Algorithm 6)
@@ -159,7 +158,7 @@ func EnumerateJoin(ix *Index, cut int, ctl RunControl, ctr *Counters, stats *Joi
 }
 
 // EnumerateJoinSide runs the join with an explicit build side: the chosen
-// half is materialized with depth-first searches on the index and hashed
+// half is materialized with depth-first searches on the index and bucketed
 // on the cut vertex; the other half is generated lazily, one walk at a
 // time, each joined walk validated (simple-path check, Theorem 3.1) and
 // emitted before the probe advances — the first result is delivered after
@@ -169,150 +168,161 @@ func EnumerateJoin(ix *Index, cut int, ctl RunControl, ctr *Counters, stats *Joi
 // emission order differs). It returns true when the run completed (no
 // stop/limit) and fills stats — also on early stops — when non-nil.
 func EnumerateJoinSide(ix *Index, cut int, side BuildSide, ctl RunControl, ctr *Counters, stats *JoinStats) (bool, error) {
-	return enumerateJoinSideSeen(ix, cut, side, nil, ctl, ctr, stats)
+	return enumerateJoin(ix, cut, side, 1, ctl, ctl, ctr, stats)
 }
 
-// enumerateJoinSideSeen is EnumerateJoinSide with a caller-owned path
-// validation buffer: seen must be zeroed and at least |V| long (the
-// enumerator's epoch counter restarts at zero each run, so any zeroed
-// slice is clean). A nil seen allocates a throwaway one — that is the
-// public entry point's behavior; pooled sessions pass their own so the
-// hot path stops paying a per-run O(|V|) make.
-func enumerateJoinSideSeen(ix *Index, cut int, side BuildSide, seen []int32, ctl RunControl, ctr *Counters, stats *JoinStats) (bool, error) {
+// enumerateJoin is the one join driver: build once on the calling
+// goroutine, then probe from the probe roots — on the builder itself when
+// parallelism or the root set leaves nothing to fan out, under solo's
+// control; on one prober clone per shard otherwise, merged under ctl's
+// contract by runShards. The sequential join is the one-shard case, and
+// solo is where the two public entry points differ: EnumerateJoinSide hands
+// Emit its reused buffer, EnumerateJoinSideParallel a fresh slice per path.
+func enumerateJoin(ix *Index, cut int, side BuildSide, parallelism int, ctl, solo RunControl, ctr *Counters, stats *JoinStats) (bool, error) {
 	if ctr == nil {
 		ctr = &Counters{}
 	}
 	if ix.Empty() {
 		return true, nil
 	}
-	k := ix.k
-	if cut < 1 || cut >= k {
-		return false, fmt.Errorf("core: join cut %d out of range [1,%d]", cut, k-1)
+	if cut < 1 || cut >= ix.k {
+		return false, fmt.Errorf("core: join cut %d out of range [1,%d]", cut, ix.k-1)
 	}
 	if side == BuildAuto {
 		side = FullEstimate(ix).BuildSideAt(cut)
 	}
-	if seen == nil {
-		seen = make([]int32, ix.g.NumVertices())
-	}
-	je := &joinEnumerator{
-		ix:        ix,
-		cut:       cut,
-		ctl:       &ctl,
-		ctr:       ctr,
-		buildLeft: side == BuildLeft,
-		buckets:   make(map[graph.VertexID][]int32),
-		seen:      seen,
-		joined:    make([]graph.VertexID, 0, k+1),
-	}
-	if je.buildLeft {
-		je.buildLen, je.probeLen = cut+1, k-cut+1
-	} else {
-		je.buildLen, je.probeLen = k-cut+1, cut+1
-	}
-	je.probeBuf = make([]graph.VertexID, 0, je.probeLen)
+	je := newJoinEnumerator(ix, cut, side == BuildLeft, &solo, ctr)
+	probers := []*joinEnumerator{je}
 	if stats != nil {
-		defer je.fill(stats)
+		defer func() { je.fill(stats, probers) }()
 	}
-	buildStart := time.Now()
+	start := time.Now()
 	ok := je.build()
-	je.buildTime = time.Since(buildStart)
+	je.buildTime = time.Since(start)
 	if !ok {
 		return false, nil
 	}
-	probeStart := time.Now()
-	je.probe()
-	je.probeTime = time.Since(probeStart)
-	return !je.stopped, nil
+	start = time.Now()
+	roots := je.probeRoots()
+	var completed bool
+	if shards := min(parallelism, len(roots)); shards <= 1 {
+		je.probe(roots, 0, 1)
+		completed = !je.stopped
+	} else {
+		probers = make([]*joinEnumerator, shards)
+		completed = runShards(shards, ctl, ctr, func(i int, sctl RunControl, sctr *Counters) bool {
+			probers[i] = je.prober(&sctl, sctr)
+			probers[i].probe(roots, i, shards)
+			return !probers[i].stopped
+		})
+	}
+	je.probeTime = time.Since(start)
+	return completed, nil
 }
 
-// build materializes the hash side and buckets it by cut vertex. Reports
+// build materializes the build side and buckets it by cut vertex. Reports
 // false when a stop hook fired mid-build.
 func (je *joinEnumerator) build() bool {
-	js := &joinSearcher{
-		ix:       je.ix,
-		tupleLen: je.buildLen,
-		buf:      make([]graph.VertexID, 0, je.buildLen),
-		ctr:      je.ctr,
-		ctl:      je.ctl,
-	}
+	je.building = true
 	if je.buildLeft {
-		// Ra = walks from s spanning positions 0..cut, bucketed by their
-		// cut vertex; first-appearance order keeps the probe deterministic.
-		js.startPos = 0
-		js.buf = append(js.buf, je.ix.q.S)
-		js.search()
-		je.tuples = js.tuples
-		if js.stopped {
-			je.stopped = true
-			return false
-		}
-		for i := 0; i*je.buildLen < len(je.tuples); i++ {
-			v := je.tuples[i*je.buildLen+je.cut]
-			if _, ok := je.buckets[v]; !ok {
-				je.order = append(je.order, v)
+		// Ra = walks from s spanning positions 0..cut.
+		je.buf = append(je.buf[:0], je.ix.sPos)
+		je.walk(0)
+	} else {
+		// Rb = walks spanning positions cut..k, one search per possible cut
+		// vertex. Distance bounds (C_cut membership) are necessary but not
+		// sufficient for a vertex to appear at the cut — padding lives only
+		// at t, so the left half needs a genuine length-cut walk — hence the
+		// exact-position reachability filter, which also keeps |Rb| within
+		// the delta_W bound of Proposition 6.1.
+		for _, v := range je.ix.exactReachPositions(je.cut) {
+			je.buf = append(je.buf[:0], v)
+			je.walk(je.cut)
+			if je.stopped {
+				break
 			}
-			je.buckets[v] = append(je.buckets[v], int32(i))
-		}
-		return true
-	}
-	// Rb = walks spanning positions cut..k, one search per possible cut
-	// vertex. Distance bounds (C_cut membership) are necessary but not
-	// sufficient for a vertex to appear at the cut — padding lives only at
-	// t, so the left half needs a genuine length-cut walk — hence the
-	// exact-position reachability filter, which also keeps |Rb| within the
-	// delta_W bound of Proposition 6.1.
-	js.startPos = je.cut
-	for _, p := range je.ix.exactReachPositions(je.cut) {
-		v := je.ix.verts[p]
-		lo := int32(len(js.tuples) / je.buildLen)
-		js.buf = js.buf[:0]
-		js.buf = append(js.buf, v)
-		js.search()
-		if js.stopped {
-			je.tuples = js.tuples
-			je.stopped = true
-			return false
-		}
-		hi := int32(len(js.tuples) / je.buildLen)
-		if hi > lo {
-			idx := make([]int32, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				idx = append(idx, i)
-			}
-			je.buckets[v] = idx
 		}
 	}
-	je.tuples = js.tuples
+	je.building = false
+	if je.stopped {
+		return false
+	}
+	je.bucket()
 	return true
 }
 
-// probe drives the lazy side. Build-left probes the right half with one
-// DFS per distinct cut vertex of Ra; build-right probes the left half with
-// a single DFS from s.
-func (je *joinEnumerator) probe() {
+// bucket groups the build tuples by their cut vertex — the last vertex of a
+// left tuple, the first of a right one — with a stable counting sort, and
+// records the distinct cut vertices in first-appearance order, which keeps
+// the build-left probe deterministic.
+func (je *joinEnumerator) bucket() {
+	at := 0
 	if je.buildLeft {
-		for _, v := range je.order {
-			je.probeBuf = append(je.probeBuf[:0], v)
-			je.probeFrom(je.cut)
-			if je.stopped {
-				return
-			}
-		}
-		return
+		at = je.cut
 	}
-	je.probeBuf = append(je.probeBuf[:0], je.ix.q.S)
-	je.probeFrom(0)
+	m, n := len(je.ix.verts), len(je.tuples)/je.buildLen
+	off := make([]int32, m+1)
+	for i := 0; i < n; i++ {
+		c := je.tuples[i*je.buildLen+at]
+		if off[c] == 0 {
+			je.order = append(je.order, c)
+		}
+		off[c]++
+	}
+	for c := 1; c < m; c++ {
+		off[c] += off[c-1] // one past the last slot of c
+	}
+	off[m] = int32(n)
+	idx := make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		c := je.tuples[i*je.buildLen+at]
+		off[c]--
+		idx[off[c]] = int32(i)
+	}
+	je.bucketOff, je.bucketIdx = off, idx
 }
 
-// probeFrom extends the in-flight probe walk one vertex at a time
-// (startPos is the absolute query position of probeBuf[0]); a complete
-// walk is joined and emitted before the DFS advances, so a consumer that
-// stops pulling suspends the recursion mid-walk and a stop unwinds it
-// without expanding further half-side walks.
-func (je *joinEnumerator) probeFrom(startPos int) {
-	depth := len(je.probeBuf)
-	if depth == je.probeLen {
+// probeRoots returns the start positions of the lazy side: the distinct
+// cut vertices of Ra when building left (one right-half DFS each), the
+// first-hop neighbors of s when building right — the root level of the one
+// left-half DFS, expanded here so it can be dealt to shards, and its scan
+// accounted here, once.
+func (je *joinEnumerator) probeRoots() []int32 {
+	if je.buildLeft {
+		return je.order
+	}
+	roots := je.ix.outUpToPos(je.ix.sPos, je.ix.k-1)
+	je.ctr.EdgesAccessed += uint64(len(roots))
+	return roots
+}
+
+// probe drives the lazy side from every stride-th root, beginning with
+// roots[first].
+func (je *joinEnumerator) probe(roots []int32, first, stride int) {
+	for j := first; j < len(roots) && !je.stopped; j += stride {
+		if je.buildLeft {
+			je.buf = append(je.buf[:0], roots[j])
+			je.walk(je.cut)
+		} else {
+			je.buf = append(je.buf[:0], je.ix.sPos, roots[j])
+			je.walk(0)
+		}
+	}
+}
+
+// walk extends the in-flight walk one vertex at a time (startPos is the
+// absolute query position of buf[0]). A complete build walk is stored; a
+// complete probe walk is joined and emitted before the DFS advances, so a
+// consumer that stops pulling suspends the recursion mid-walk and a stop
+// unwinds it without expanding further half-side walks.
+func (je *joinEnumerator) walk(startPos int) {
+	depth := len(je.buf)
+	if je.building {
+		if depth == je.buildLen {
+			je.tuples = append(je.tuples, je.buf...)
+			return
+		}
+	} else if depth == je.probeLen {
 		je.probeWalks++
 		je.emitJoined()
 		return
@@ -322,44 +332,36 @@ func (je *joinEnumerator) probeFrom(startPos int) {
 		je.stopped = true
 		return
 	}
-	v := je.probeBuf[depth-1]
+	// Budget: k - i - L(M) - 1 where i is the sub-query start position.
 	budget := je.ix.k - startPos - (depth - 1) - 1
-	nbrs := je.ix.OutUpTo(v, budget)
+	nbrs := je.ix.outUpToPos(je.buf[depth-1], budget)
 	je.ctr.EdgesAccessed += uint64(len(nbrs))
 	for _, w := range nbrs {
-		je.probeBuf = append(je.probeBuf, w)
-		je.probeFrom(startPos)
-		je.probeBuf = je.probeBuf[:depth]
+		je.buf = append(je.buf, w)
+		je.walk(startPos)
+		je.buf = je.buf[:depth]
 		if je.stopped {
 			return
 		}
 	}
 }
 
-// emitJoined hash-joins the completed probe walk against its bucket,
-// validating and emitting every simple path immediately.
+// emitJoined joins the completed probe walk against the bucket of its cut
+// vertex, validating and emitting every simple path immediately.
 func (je *joinEnumerator) emitJoined() {
-	var bucket []int32
-	if je.buildLeft {
-		bucket = je.buckets[je.probeBuf[0]]
-	} else {
-		bucket = je.buckets[je.probeBuf[len(je.probeBuf)-1]]
-		if bucket == nil {
-			return // no right walk starts at this left walk's cut vertex
-		}
+	probe := je.buf
+	c := probe[0]
+	if !je.buildLeft {
+		c = probe[len(probe)-1]
 	}
-	for _, i := range bucket {
-		bt := je.tuples[int(i)*je.buildLen : (int(i)+1)*je.buildLen]
-		je.joined = je.joined[:0]
-		if je.buildLeft {
-			je.joined = append(je.joined, bt...)
-			je.joined = append(je.joined, je.probeBuf[1:]...) // probeBuf[0] == bt[cut]
-		} else {
-			je.joined = append(je.joined, je.probeBuf...)
-			je.joined = append(je.joined, bt[1:]...) // bt[0] == probeBuf[cut]
+	for _, i := range je.bucketIdx[je.bucketOff[c]:je.bucketOff[c+1]] {
+		// The halves share the cut vertex; the right one gives its copy up.
+		left, right := je.tuples[int(i)*je.buildLen:(int(i)+1)*je.buildLen], probe[1:]
+		if !je.buildLeft {
+			left, right = probe, left[1:]
 		}
 		je.vepoch++
-		if path, ok := validatePath(je.joined, je.ix.q.T, je.seen, je.vepoch); ok {
+		if path, ok := je.joinPath(left, right); ok {
 			je.ctr.Results++
 			if je.ctl.Emit != nil && !je.ctl.Emit(path) {
 				je.stopped = true
@@ -377,44 +379,72 @@ func (je *joinEnumerator) emitJoined() {
 	}
 }
 
-// fill snapshots the run's footprint into stats (all exit paths).
-func (je *joinEnumerator) fill(stats *JoinStats) {
-	nBuild := int64(0)
-	if je.buildLen > 0 {
-		nBuild = int64(len(je.tuples)) / int64(je.buildLen)
+// joinPath checks whether the padded walk left·right (k+1 positions ending
+// in t-padding) is a simple path and, in the same pass, writes it out as
+// vertex ids; it returns the path truncated at the first t. The caller
+// advances vepoch per walk. Interior occurrences of s cannot arise (the
+// index has no edges into s), so only duplicate detection up to the first t
+// is required (Theorem 3.1).
+func (je *joinEnumerator) joinPath(left, right []int32) ([]graph.VertexID, bool) {
+	verts, tPos, seen, epoch := je.ix.verts, je.ix.tPos, je.seen, je.vepoch
+	n := 0
+	for _, half := range [2][]int32{left, right} {
+		for _, p := range half {
+			je.path[n] = verts[p]
+			n++
+			if p == tPos {
+				return je.path[:n], true
+			}
+			if seen[p] == epoch {
+				return nil, false
+			}
+			seen[p] = epoch
+		}
+	}
+	// Index construction guarantees position k is t; defensive fallback.
+	return nil, false
+}
+
+// fill snapshots the run's footprint into stats (all exit paths): the
+// build side, which je owns and the probers only reference, counted once,
+// and each prober's walks and in-flight probe walk summed once, however
+// early it stopped. A run that did not fan out probed on je itself.
+func (je *joinEnumerator) fill(stats *JoinStats, probers []*joinEnumerator) {
+	nBuild := int64(len(je.tuples) / je.buildLen)
+	var walks int64
+	for _, p := range probers {
+		walks += p.probeWalks
 	}
 	stats.BuildLeft = je.buildLeft
 	stats.BuildTuples = nBuild
-	stats.ProbeWalks = je.probeWalks
+	stats.ProbeWalks = walks
 	if je.buildLeft {
-		stats.LeftTuples, stats.RightTuples = nBuild, je.probeWalks
+		stats.LeftTuples, stats.RightTuples = nBuild, walks
 	} else {
-		stats.LeftTuples, stats.RightTuples = je.probeWalks, nBuild
+		stats.LeftTuples, stats.RightTuples = walks, nBuild
 	}
-	stats.PartialBytes = int64(len(je.tuples))*4 + nBuild*4 + int64(cap(je.probeBuf))*4
+	stats.PartialBytes = int64(len(je.tuples))*4 + nBuild*4 + int64(len(probers)*je.probeLen)*4
 	stats.BuildTime = je.buildTime
 	stats.ProbeTime = je.probeTime
 }
 
-// exactReachPositions returns the dense positions of the vertices
-// reachable from s in exactly cut index steps — the possible cut vertices
-// of a left half-tuple. O(cut * |E(index)|) boolean DP mirroring the left
-// searcher's budgets (step i admits neighbors w with w.t <= k-i).
+// exactReachPositions returns the positions of the vertices reachable from
+// s in exactly cut index steps — the possible cut vertices of a left
+// half-tuple. O(cut * |E(index)|) boolean DP mirroring the left searcher's
+// budgets (step i admits neighbors w with w.t <= k-i).
 func (ix *Index) exactReachPositions(cut int) []int32 {
 	m := len(ix.verts)
 	cur := make([]bool, m)
 	next := make([]bool, m)
-	cur[ix.pos[ix.q.S]] = true
+	cur[ix.sPos] = true
 	for step := 1; step <= cut; step++ {
-		for i := range next {
-			next[i] = false
-		}
+		clear(next)
 		for p := 0; p < m; p++ {
 			if !cur[p] {
 				continue
 			}
 			for _, w := range ix.outUpToPos(int32(p), ix.k-step) {
-				next[ix.pos[w]] = true
+				next[w] = true
 			}
 		}
 		cur, next = next, cur
@@ -426,22 +456,4 @@ func (ix *Index) exactReachPositions(cut int) []int32 {
 		}
 	}
 	return out
-}
-
-// validatePath checks whether the padded-walk tuple r (k+1 vertices ending
-// in t-padding) is a simple path, and returns the truncated path if so.
-// Interior occurrences of s cannot arise (the index has no edges into s),
-// so only duplicate detection up to the first t is required (Theorem 3.1).
-func validatePath(r []graph.VertexID, t graph.VertexID, seen []int32, epoch int32) ([]graph.VertexID, bool) {
-	for i, v := range r {
-		if v == t {
-			return r[:i+1], true
-		}
-		if seen[v] == epoch {
-			return nil, false
-		}
-		seen[v] = epoch
-	}
-	// Index construction guarantees position k is t; defensive fallback.
-	return nil, false
 }

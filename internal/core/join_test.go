@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pathenum/internal/gen"
@@ -269,28 +270,30 @@ func TestJoinFirstEmitBeforeProbeExhaustion(t *testing.T) {
 	}
 }
 
-func TestValidatePath(t *testing.T) {
-	seen := make([]int32, 10)
+// TestJoinPath: the fused validator takes the two halves of a joined walk as
+// index positions (the right half without its copy of the cut vertex),
+// accepts exactly the walks that are simple up to their first t, and writes
+// the accepted one out as vertex ids, truncated at t.
+func TestJoinPath(t *testing.T) {
+	// Position p holds vertex 10*p; t sits at position 1.
+	ix := &Index{k: 4, verts: []graph.VertexID{0, 10, 20, 30, 40, 50}, tPos: 1}
+	je := newJoinEnumerator(ix, 2, true, &RunControl{}, &Counters{})
 	cases := []struct {
-		r    []graph.VertexID
-		tVtx graph.VertexID
-		ok   bool
-		n    int
+		left, right []int32
+		want        []graph.VertexID // nil = rejected
 	}{
-		{[]graph.VertexID{0, 2, 1, 1, 1}, 1, true, 3},
-		{[]graph.VertexID{0, 2, 2, 1, 1}, 1, false, 0}, // duplicate v2
-		{[]graph.VertexID{0, 1, 1, 1, 1}, 1, true, 2},  // direct edge
-		{[]graph.VertexID{0, 2, 3, 4, 1}, 1, true, 5},
-		{[]graph.VertexID{0, 2, 3, 4, 5}, 1, false, 0}, // never reaches t
+		{[]int32{0, 2, 1}, []int32{1, 1}, []graph.VertexID{0, 20, 10}},
+		{[]int32{0, 2, 2}, []int32{1, 1}, nil},                     // duplicate inside the left half
+		{[]int32{0, 2, 3}, []int32{2, 1}, nil},                     // duplicate across the halves
+		{[]int32{0, 1}, []int32{1, 1, 1}, []graph.VertexID{0, 10}}, // direct edge, cut 1
+		{[]int32{0, 2, 3, 4}, []int32{1}, []graph.VertexID{0, 20, 30, 40, 10}},
+		{[]int32{0, 2, 3}, []int32{4, 5}, nil}, // never reaches t
 	}
 	for i, c := range cases {
-		path, ok := validatePath(c.r, c.tVtx, seen, int32(i+1))
-		if ok != c.ok {
-			t.Errorf("case %d: ok = %v, want %v", i, ok, c.ok)
-			continue
-		}
-		if ok && len(path) != c.n {
-			t.Errorf("case %d: path len %d, want %d", i, len(path), c.n)
+		je.vepoch++
+		path, ok := je.joinPath(c.left, c.right)
+		if ok != (c.want != nil) || !slices.Equal(path, c.want) {
+			t.Errorf("case %d: joinPath(%v, %v) = %v, %v; want %v", i, c.left, c.right, path, ok, c.want)
 		}
 	}
 }

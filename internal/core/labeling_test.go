@@ -82,8 +82,8 @@ func diffIndex(a, b *Index) string {
 		return "empty"
 	case !slices.Equal(a.verts, b.verts):
 		return "verts"
-	case !slices.Equal(a.pos, b.pos):
-		return "pos"
+	case a.sPos != b.sPos || a.tPos != b.tPos:
+		return "sPos/tPos"
 	case !slices.Equal(a.vs, b.vs):
 		return "vs"
 	case !slices.Equal(a.vt, b.vt):

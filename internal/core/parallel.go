@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pathenum/internal/graph"
 )
@@ -244,32 +242,21 @@ func EnumerateDFSParallel(ix *Index, parallelism int, ctl RunControl, ctr *Count
 	if ix.Empty() {
 		return true
 	}
-	roots := ix.OutUpTo(ix.q.S, ix.k-1)
-	shards := parallelism
-	if shards > len(roots) {
-		shards = len(roots)
-	}
+	roots := ix.outUpToPos(ix.sPos, ix.k-1)
+	shards := min(parallelism, len(roots))
 	if shards <= 1 {
 		return EnumerateDFS(ix, ownedEmit(ctl), ctr)
 	}
 	// The root scan happens once, here, not per shard.
 	ctr.EdgesAccessed += uint64(len(roots))
 	return runShards(shards, ctl, ctr, func(i int, sctl RunControl, sctr *Counters) bool {
-		ds := &dfsSearcher{
-			ix:     ix,
-			ctl:    sctl,
-			ctr:    sctr,
-			path:   make([]graph.VertexID, 0, ix.k+1),
-			onPath: make([]bool, ix.g.NumVertices()),
-		}
-		ds.path = append(ds.path, ix.q.S)
-		ds.onPath[ix.q.S] = true
+		ds := newDFSSearcher(ix, sctl, sctr)
 		for j := i; j < len(roots); j += shards {
-			w := roots[j]
-			ds.path = append(ds.path, w)
-			ds.onPath[w] = true
-			sub := ds.search()
-			ds.onPath[w] = false
+			wp := roots[j]
+			ds.path = append(ds.path, ix.verts[wp])
+			ds.onPath[wp] = true
+			sub := ds.search(wp)
+			ds.onPath[wp] = false
 			ds.path = ds.path[:1]
 			if sub == 0 {
 				sctr.InvalidPartials++
@@ -293,143 +280,8 @@ func EnumerateDFSParallel(ix *Index, parallelism int, ctl RunControl, ctr *Count
 // of runShards; stats, when non-nil, are filled on every exit path with
 // the build footprint counted exactly once and each shard's probe-local
 // stats summed exactly once, however early any shard stopped. Paths
-// handed to Emit are fresh slices owned by the callee, fallback included.
+// handed to Emit are fresh slices owned by the callee, also when nothing
+// fans out and the builder probes alone.
 func EnumerateJoinSideParallel(ix *Index, cut int, side BuildSide, parallelism int, ctl RunControl, ctr *Counters, stats *JoinStats) (bool, error) {
-	if ctr == nil {
-		ctr = &Counters{}
-	}
-	if ix.Empty() {
-		return true, nil
-	}
-	k := ix.k
-	if cut < 1 || cut >= k {
-		return false, fmt.Errorf("core: join cut %d out of range [1,%d]", cut, k-1)
-	}
-	if side == BuildAuto {
-		side = FullEstimate(ix).BuildSideAt(cut)
-	}
-	buildCtl := RunControl{ShouldStop: ctl.ShouldStop}
-	je := &joinEnumerator{
-		ix:        ix,
-		cut:       cut,
-		ctl:       &buildCtl,
-		ctr:       ctr,
-		buildLeft: side == BuildLeft,
-		buckets:   make(map[graph.VertexID][]int32),
-		seen:      make([]int32, ix.g.NumVertices()),
-		joined:    make([]graph.VertexID, 0, k+1),
-	}
-	if je.buildLeft {
-		je.buildLen, je.probeLen = cut+1, k-cut+1
-	} else {
-		je.buildLen, je.probeLen = k-cut+1, cut+1
-	}
-	je.probeBuf = make([]graph.VertexID, 0, je.probeLen)
-	buildStart := time.Now()
-	ok := je.build()
-	je.buildTime = time.Since(buildStart)
-	if !ok {
-		if stats != nil {
-			je.fill(stats)
-		}
-		return false, nil
-	}
-
-	var roots []graph.VertexID
-	if je.buildLeft {
-		roots = je.order
-	} else {
-		roots = ix.OutUpTo(ix.q.S, k-1)
-	}
-	shards := parallelism
-	if shards > len(roots) {
-		shards = len(roots)
-	}
-	if shards <= 1 {
-		// No fan-out possible: probe sequentially on the enumerator already
-		// built, keeping the parallel ownership contract.
-		seqCtl := ownedEmit(ctl)
-		je.ctl = &seqCtl
-		probeStart := time.Now()
-		je.probe()
-		je.probeTime = time.Since(probeStart)
-		if stats != nil {
-			je.fill(stats)
-		}
-		return !je.stopped, nil
-	}
-	if !je.buildLeft {
-		// Pre-expanding s replaces the root level of the sequential probe
-		// DFS; account its scan once, as probeFrom would have.
-		ctr.EdgesAccessed += uint64(len(roots))
-	}
-	probers := make([]*joinEnumerator, shards)
-	probeStart := time.Now()
-	completedRun := runShards(shards, ctl, ctr, func(i int, sctl RunControl, sctr *Counters) bool {
-		p := &joinEnumerator{
-			ix:        ix,
-			cut:       cut,
-			ctl:       &sctl,
-			ctr:       sctr,
-			buildLeft: je.buildLeft,
-			buildLen:  je.buildLen,
-			tuples:    je.tuples,
-			buckets:   je.buckets,
-			probeLen:  je.probeLen,
-			seen:      make([]int32, ix.g.NumVertices()),
-			joined:    make([]graph.VertexID, 0, k+1),
-			probeBuf:  make([]graph.VertexID, 0, je.probeLen),
-		}
-		probers[i] = p
-		for j := i; j < len(roots); j += shards {
-			w := roots[j]
-			if p.buildLeft {
-				p.probeBuf = append(p.probeBuf[:0], w)
-				p.probeFrom(cut)
-			} else {
-				p.probeBuf = append(p.probeBuf[:0], ix.q.S, w)
-				p.probeFrom(0)
-			}
-			if p.stopped {
-				return false
-			}
-		}
-		return true
-	})
-	je.probeTime = time.Since(probeStart)
-	if stats != nil {
-		fillParallelJoinStats(stats, je, probers)
-	}
-	return completedRun, nil
-}
-
-// fillParallelJoinStats aggregates the fan-out's footprint: the shared
-// build side belongs to the build enumerator and is counted exactly once
-// (shards reference, never copy, its tuples and buckets), and each
-// shard's probe-local stats — walks generated, in-flight walk buffer —
-// are summed exactly once regardless of how early the shard stopped.
-func fillParallelJoinStats(stats *JoinStats, build *joinEnumerator, probers []*joinEnumerator) {
-	nBuild := int64(0)
-	if build.buildLen > 0 {
-		nBuild = int64(len(build.tuples)) / int64(build.buildLen)
-	}
-	stats.BuildLeft = build.buildLeft
-	stats.BuildTuples = nBuild
-	var walks, probeBytes int64
-	for _, p := range probers {
-		if p == nil {
-			continue
-		}
-		walks += p.probeWalks
-		probeBytes += int64(cap(p.probeBuf)) * 4
-	}
-	stats.ProbeWalks = walks
-	if build.buildLeft {
-		stats.LeftTuples, stats.RightTuples = nBuild, walks
-	} else {
-		stats.LeftTuples, stats.RightTuples = walks, nBuild
-	}
-	stats.PartialBytes = int64(len(build.tuples))*4 + nBuild*4 + probeBytes
-	stats.BuildTime = build.buildTime
-	stats.ProbeTime = build.probeTime
+	return enumerateJoin(ix, cut, side, parallelism, ctl, ownedEmit(ctl), ctr, stats)
 }

@@ -107,7 +107,7 @@ func TestParallelJoinMatchesSequential(t *testing.T) {
 }
 
 // TestParallelJoinStatsAggregatedOnce pins the aggregation contract of
-// fillParallelJoinStats: the shared build side is counted exactly once —
+// joinEnumerator.fill under fan-out: the shared build side is counted exactly once —
 // never once per shard — and each shard's probe-local footprint is summed
 // exactly once, including when the run stops early at the merge-enforced
 // limit. A double-counting regression (each shard folding the shared

@@ -8,9 +8,9 @@ import (
 )
 
 // Session amortizes per-query allocations across repeated queries on the
-// same graph: the O(|V|) distance labelings, the index position map and the
-// visited bitmap are allocated once and reused, and a query touches only
-// the entries its budget-bounded labeling reaches. This targets the paper's
+// same graph: the O(|V|) distance labelings and the index build's position
+// map are allocated once and reused, and a query touches only the entries
+// its budget-bounded labeling reaches. This targets the paper's
 // online scenario, where a service answers a stream of queries against one
 // in-memory graph and garbage-collector pressure matters (DESIGN.md notes
 // GC overhead as the main Go-specific risk).
@@ -20,8 +20,7 @@ import (
 // diverge semantically.
 //
 // A Session is NOT safe for concurrent use; create one per worker (the
-// public Engine does). The Index produced by one Run is invalidated by the
-// next Run on the same session.
+// public Engine does).
 type Session struct {
 	ex *executor
 }
@@ -76,5 +75,5 @@ func (s *Session) RunContext(ctx context.Context, q Query, opts Options) (*Resul
 // the shared labels leave budget. Results are identical to RunContext's —
 // frontier labels relax the per-query ones soundly (see Frontier).
 func (s *Session) RunShared(ctx context.Context, q Query, opts Options, fwd, bwd *Frontier) (*Result, error) {
-	return s.ex.executeShared(ctx, q, opts, fwd, bwd)
+	return s.ex.executeShared(ctx, q, opts, fwd, bwd, nil)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"pathenum/internal/gen"
@@ -40,28 +41,34 @@ func TestSessionMatchesRun(t *testing.T) {
 	}
 }
 
-// TestSessionBitmapClean: after every run (including early-stopped ones),
-// the shared visited bitmap must be fully cleared.
-func TestSessionBitmapClean(t *testing.T) {
+// TestSessionCleanAfterLimitStop: enumeration state is per run, so a run
+// stopped mid-search by Limit — the DFS with a partial result on its stack,
+// the join mid-probe — leaves nothing behind: the next run on the session
+// returns the exact brute-force path set.
+func TestSessionCleanAfterLimitStop(t *testing.T) {
 	g := gen.Layered(6, 4)
 	sess := NewSession(g, nil)
 	q := Query{S: 0, T: 1, K: 5}
-	// Early stop mid-enumeration leaves path bits to sweep.
-	if _, err := sess.Run(q, Options{Limit: 3, Method: MethodDFS}); err != nil {
-		t.Fatal(err)
+	var want []string
+	for _, p := range brutePathsLocal(g, q.S, q.T, q.K) {
+		want = append(want, pathKey(p))
 	}
-	for v, set := range sess.ex.onPath {
-		if set {
-			t.Fatalf("onPath[%d] leaked after early stop", v)
+	sort.Strings(want)
+	for _, method := range []Method{MethodDFS, MethodJoin} {
+		res, err := sess.Run(q, Options{Limit: 3, Method: method})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Next query on the same session still answers correctly.
-	res, err := sess.Run(q, Options{Method: MethodDFS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters.Results != 1296 {
-		t.Fatalf("post-stop run: %d results, want 1296", res.Counters.Results)
+		if res.Completed || res.Counters.Results != 3 {
+			t.Fatalf("%v limit-stopped run: completed=%v results=%d, want a stop at 3", method, res.Completed, res.Counters.Results)
+		}
+		got := collectPaths(t, func(o Options) (*Result, error) {
+			o.Method = method
+			return sess.Run(q, o)
+		})
+		if !equalStrings(want, got) {
+			t.Fatalf("%v run after a limit stop: %d paths, brute force %d", method, len(got), len(want))
+		}
 	}
 }
 

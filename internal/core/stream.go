@@ -45,6 +45,13 @@ type StreamConfig struct {
 	// Fwd / Bwd optionally substitute precomputed distance labelings for
 	// either BFS pass, with Session.RunShared's compatibility contract.
 	Fwd, Bwd *Frontier
+	// Constraints, when non-nil, makes the stream a constrained query
+	// (Appendix E): its Accumulate and Sequence are checked by the
+	// constrained index DFS on the same executor spine — pooled session,
+	// oracle, frontiers, timings. Options.Method and Options.Parallelism do
+	// not apply then, and the edge predicate stays Options.Predicate
+	// (Constraints.Predicate is not read).
+	Constraints *Constraints
 	// Buffer selects the delivery mode: 0 streams synchronously with the
 	// enumeration suspended between pulls; > 0 lets a producer goroutine
 	// run up to Buffer paths ahead.
@@ -100,33 +107,12 @@ func (s *Session) Stream(ctx context.Context, q Query, opts Options) iter.Seq2[[
 func (s *Session) StreamWith(ctx context.Context, q Query, opts Options, sc StreamConfig) iter.Seq2[[]graph.VertexID, error] {
 	run := func(ctx context.Context, emit func([]graph.VertexID) bool) (*Result, error) {
 		opts.Emit = emit
-		return s.ex.executeShared(ctx, q, opts, sc.Fwd, sc.Bwd)
+		return s.ex.executeShared(ctx, q, opts, sc.Fwd, sc.Bwd, sc.Constraints)
 	}
 	// A parallel run already hands over fresh slices (the parallel
 	// ownership contract), so the stream skips its defensive per-path
 	// copy — the merge-side copy is the only one paid.
-	return makeStream(ctx, sc, run, opts.Parallelism > 1)
-}
-
-// StreamConstrained is the streaming face of RunConstrained: the
-// constrained index DFS (Appendix E) delivered as a pull iterator. Options
-// supplies the per-request knobs shared with the unconstrained pipeline —
-// Limit, Timeout and the edge Predicate (which joins cons.Predicate if
-// that is nil); Method, Tau and Oracle do not apply to the constrained
-// DFS and are ignored, as is Emit (the yield replaces it).
-func StreamConstrained(ctx context.Context, g *graph.Graph, q Query, cons Constraints, opts Options, sc StreamConfig) iter.Seq2[[]graph.VertexID, error] {
-	if cons.Predicate == nil {
-		cons.Predicate = opts.Predicate
-	}
-	run := func(ctx context.Context, emit func([]graph.VertexID) bool) (*Result, error) {
-		ctl := RunControl{
-			Emit:       emit,
-			Limit:      opts.Limit,
-			ShouldStop: newStopper(ctx, opts.Timeout),
-		}
-		return RunConstrained(g, q, cons, ctl)
-	}
-	return makeStream(ctx, sc, run, false)
+	return makeStream(ctx, sc, run, opts.Parallelism > 1 && sc.Constraints == nil)
 }
 
 // streamState is the per-stream mutable state shared between the emit

@@ -432,8 +432,10 @@ func TestStreamJoinBufferedNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestStreamConstrained: the constrained stream matches RunConstrained on
-// an accumulative constraint, both modes.
+// TestStreamConstrained: a constrained stream runs on the executor spine —
+// differential against the one-shot RunConstrained on an accumulative
+// constraint, both modes — and so reports what every other run reports
+// (labeling size, build timing) and checks the context on entry.
 func TestStreamConstrained(t *testing.T) {
 	g, q := layeredGraph(t, 3, 3)
 	cons := Constraints{
@@ -453,22 +455,33 @@ func TestStreamConstrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	sort.Strings(want)
+	sess := NewSession(g, nil)
 	for _, buffer := range []int{0, 2} {
 		var done *Result
-		got := streamPaths(t, StreamConstrained(context.Background(), g, q, cons, Options{}, StreamConfig{
-			Buffer:   buffer,
-			OnResult: func(r *Result) { done = r },
+		// Method and Parallelism do not apply to a constrained stream.
+		got := streamPaths(t, sess.StreamWith(context.Background(), q, Options{Method: MethodJoin, Parallelism: 4}, StreamConfig{
+			Constraints: &cons,
+			Buffer:      buffer,
+			OnResult:    func(r *Result) { done = r },
 		}))
-		if len(got) != len(want) {
-			t.Fatalf("buffer=%d: constrained stream %d paths, want %d", buffer, len(got), len(want))
+		if !equalStrings(got, want) {
+			t.Fatalf("buffer=%d: constrained stream %v, one-shot %v", buffer, got, want)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("buffer=%d: path %d: %q vs %q", buffer, i, got[i], want[i])
-			}
+		if done == nil || done.Counters != res.Counters || done.Plan.Method != MethodDFS || !done.Completed {
+			t.Fatalf("buffer=%d: OnResult=%+v, want the one-shot counters %+v on a completed DFS plan", buffer, done, res.Counters)
 		}
-		if done == nil || done.Counters.Results != res.Counters.Results {
-			t.Fatalf("buffer=%d: OnResult=%+v, want %d results", buffer, done, res.Counters.Results)
+		if done.BFSVisited == 0 || done.Timings.Build == 0 || done.IndexVertices != res.IndexVertices {
+			t.Fatalf("buffer=%d: BFSVisited=%d Build=%v IndexVertices=%d (one-shot %d): not the executor's accounting",
+				buffer, done.BFSVisited, done.Timings.Build, done.IndexVertices, res.IndexVertices)
 		}
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, err := range sess.StreamWith(ctx, q, Options{}, StreamConfig{Constraints: &cons}) {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("pre-cancelled constrained stream yielded err=%v, want context.Canceled", err)
+		}
+		return
+	}
+	t.Fatal("pre-cancelled constrained stream yielded nothing")
 }

@@ -25,8 +25,8 @@ type Class int
 const (
 	// ClassCache is frontier-cache resident labelings.
 	ClassCache Class = iota
-	// ClassScratch is pooled per-session O(|V|) scratch (BFS labelings,
-	// position map, visited bitmap, join validation epochs).
+	// ClassScratch is pooled per-session O(|V|) scratch (BFS labelings
+	// and the index build's position map).
 	ClassScratch
 	// ClassBuild is join build sides admitted against the estimator's
 	// predicted footprint for the duration of their run.

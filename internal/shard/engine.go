@@ -122,6 +122,11 @@ func New(g *pathenum.Graph, shards int, cfg Config) (*Engine, error) {
 		reg:        reg,
 		cuts:       part.Cuts,
 	}
+	// Func-gauge registration keeps the first closure, and every
+	// constituent registers the pool series for its own pool: claim them
+	// for the aggregate first, so a scrape (and /stats) reports the
+	// occupancy /readyz sheds on, not one constituent's.
+	registerPoolGauges(reg, e)
 	if shards == 1 {
 		eng, err := pathenum.NewEngine(g, ecfg)
 		if err != nil {

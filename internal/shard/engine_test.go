@@ -392,3 +392,42 @@ func TestShardStreamAbandonNoLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// The pool series on the shared registry describe the sharded engine as a
+// whole — what /readyz sheds on — not the constituent that registered
+// first: the worker gauge is the sum of the per-shard pools, and a
+// cross-shard stream held open mid-iteration is visible as in flight.
+func TestShardPoolGaugesAggregate(t *testing.T) {
+	g := testGraph(43)
+	reg := pathenum.NewMetricsRegistry()
+	const p, workers = 2, 3
+	e, err := New(g, p, Config{Engine: pathenum.EngineConfig{Workers: workers, Metrics: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot()["pathenum_pool_workers"]; got != workers*p || e.PoolStats().Workers != workers*p {
+		t.Fatalf("pathenum_pool_workers = %v, PoolStats().Workers = %d, want %d", got, e.PoolStats().Workers, workers*p)
+	}
+	_, cross := pickQueries(t, e, g, 5, 73)
+	held := false
+	for _, err := range e.Stream(context.Background(), pathenum.Request{S: cross.S, T: cross.T, K: cross.K}) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		if q := snap["pathenum_pool_inflight_queries"]; q < 1 || q != float64(e.PoolStats().InFlightQueries) {
+			t.Fatalf("mid-stream pathenum_pool_inflight_queries = %v, PoolStats %d, want the same and >= 1", q, e.PoolStats().InFlightQueries)
+		}
+		if u := snap["pathenum_pool_utilization"]; u != e.PoolStats().Utilization() {
+			t.Fatalf("mid-stream pathenum_pool_utilization = %v, PoolStats %v", u, e.PoolStats().Utilization())
+		}
+		held = true
+		break
+	}
+	if !held {
+		t.Fatal("cross-shard query yielded no path to hold the stream on")
+	}
+	if q := reg.Snapshot()["pathenum_pool_inflight_queries"]; q != 0 {
+		t.Fatalf("pathenum_pool_inflight_queries = %v after the stream ended, want 0", q)
+	}
+}

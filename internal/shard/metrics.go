@@ -80,6 +80,21 @@ func newShardMetrics(reg *pathenum.MetricsRegistry, e *Engine) *shardMetrics {
 	return m
 }
 
+// registerPoolGauges registers the pathenum_pool_* series from the sharded
+// engine's aggregate PoolStats. It must run before any constituent engine
+// is constructed on reg (see New); the gauges are first read after New
+// returns.
+func registerPoolGauges(reg *pathenum.MetricsRegistry, e *Engine) {
+	reg.GaugeFunc("pathenum_pool_workers", "Configured query-executor workers.",
+		func() float64 { return float64(e.PoolStats().Workers) })
+	reg.GaugeFunc("pathenum_pool_inflight_queries", "Single-query executions currently running.",
+		func() float64 { return float64(e.PoolStats().InFlightQueries) })
+	reg.GaugeFunc("pathenum_pool_inflight_shards", "Parallel enumeration shards currently fanned out.",
+		func() float64 { return float64(e.PoolStats().InFlightShards) })
+	reg.GaugeFunc("pathenum_pool_utilization", "In-flight load over the worker count (0..1+).",
+		func() float64 { return e.PoolStats().Utilization() })
+}
+
 // observe counts one classified query.
 func (m *shardMetrics) observe(r route) {
 	switch r.kind {

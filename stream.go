@@ -65,9 +65,9 @@ type Request struct {
 	Parallelism int
 
 	// Accumulate and Sequence are the Appendix-E constraint extensions.
-	// Setting either routes the request through the constrained index
-	// DFS (the pipeline behind EnumerateConstrained); Predicate applies
-	// there too.
+	// Setting either makes the enumeration step the constrained index DFS
+	// (the search behind EnumerateConstrained); everything around it —
+	// session, oracle, frontier cache, Predicate, timings — is the same.
 	Accumulate *Accumulator
 	Sequence   *SequenceConstraint
 
@@ -92,8 +92,7 @@ func NewRequest(q Query) Request { return Request{S: q.S, T: q.T, K: q.K} }
 // Query returns the request's (s, t, k) triple.
 func (r Request) Query() Query { return Query{S: r.S, T: r.T, K: r.K} }
 
-// constrained reports whether the request needs the constrained DFS
-// pipeline.
+// constrained reports whether the request needs the constrained DFS.
 func (r Request) constrained() bool { return r.Accumulate != nil || r.Sequence != nil }
 
 // options lowers the request to the per-call option overrides understood
@@ -111,9 +110,13 @@ func (r Request) options() Options {
 	}
 }
 
-// streamConfig lowers the request's delivery knobs.
+// streamConfig lowers the request's delivery knobs and its constraints.
 func (r Request) streamConfig() core.StreamConfig {
-	return core.StreamConfig{Buffer: r.Buffer, OnResult: r.OnResult}
+	sc := core.StreamConfig{Buffer: r.Buffer, OnResult: r.OnResult}
+	if r.constrained() {
+		sc.Constraints = &Constraints{Accumulate: r.Accumulate, Sequence: r.Sequence}
+	}
+	return sc
 }
 
 // Stream executes req on g and delivers result paths incrementally as a
@@ -122,15 +125,11 @@ func (r Request) streamConfig() core.StreamConfig {
 // engine oracle; prefer it for repeated queries). See Engine.Stream for
 // the iteration contract.
 func Stream(ctx context.Context, g *Graph, req Request) iter.Seq2[Path, error] {
-	// Building the stream runs nothing (both constructors are lazy), so
-	// it happens here rather than inside the iterator: under iter.Pull2
-	// the iterator runs the whole enumeration on a fresh coroutine stack
-	// that grows by copying, and every local this frame would pin there
-	// makes that growth more likely.
-	if req.constrained() {
-		cons := Constraints{Predicate: req.Predicate, Accumulate: req.Accumulate, Sequence: req.Sequence}
-		return core.StreamConstrained(ctx, g, req.Query(), cons, req.options(), req.streamConfig())
-	}
+	// Building the stream runs nothing (the constructor is lazy), so it
+	// happens here rather than inside the iterator: under iter.Pull2 the
+	// iterator runs the whole enumeration on a fresh coroutine stack that
+	// grows by copying, and every local this frame would pin there makes
+	// that growth more likely.
 	return core.NewSession(g, nil).StreamWith(ctx, req.Query(), req.options(), req.streamConfig())
 }
 
@@ -189,9 +188,8 @@ func (e *Engine) Stream(ctx context.Context, req Request) iter.Seq2[Path, error]
 }
 
 // streamLease is what an engine stream must give back when its iteration
-// ends: the load-tracking slot and, for unconstrained runs, the pooled
-// session. A value, not a deferred closure pair, so ending a stream
-// allocates nothing.
+// ends: the load-tracking slot and the pooled session. A value, not a
+// deferred closure pair, so ending a stream allocates nothing.
 type streamLease struct {
 	release func()
 	pool    *sync.Pool
@@ -199,9 +197,7 @@ type streamLease struct {
 }
 
 func (l *streamLease) end() {
-	if l.pool != nil {
-		l.pool.Put(l.sess)
-	}
+	l.pool.Put(l.sess)
 	l.release()
 }
 
@@ -226,10 +222,6 @@ func (e *Engine) startStream(ctx context.Context, req Request) (iter.Seq2[Path, 
 		par = 0 // the constrained DFS runs sequentially
 	}
 	lease := streamLease{release: e.track(par)}
-	if req.constrained() {
-		cons := Constraints{Predicate: merged.Predicate, Accumulate: req.Accumulate, Sequence: req.Sequence}
-		return core.StreamConstrained(ctx, e.Graph(), req.Query(), cons, merged, sc), lease
-	}
 	g, oracle, pool := e.view()
 	sc.Fwd, sc.Bwd = e.frontiers(ctx, g, oracle, req.Query(), merged)
 	lease.pool = pool

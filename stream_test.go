@@ -186,8 +186,10 @@ func TestEngineStreamError(t *testing.T) {
 	}
 }
 
-// TestEngineStreamConstrained: a Request with constraints routes through
-// the constrained DFS and matches EnumerateConstrained.
+// TestEngineStreamConstrained: a Request with constraints runs the
+// constrained DFS on the engine's executor spine — the path set matches the
+// one-shot EnumerateConstrained, and the Result carries the spine's
+// accounting (labeling size, build timing) like any other stream's.
 func TestEngineStreamConstrained(t *testing.T) {
 	g, q := layeredTestGraph(t, 3, 3)
 	e, err := NewEngine(g, EngineConfig{})
@@ -214,6 +216,8 @@ func TestEngineStreamConstrained(t *testing.T) {
 		Identity: 0,
 		Accept:   func(total float64) bool { return true },
 	}
+	var res *Result
+	req.OnResult = func(r *Result) { res = r }
 	var got []string
 	for p, serr := range e.Stream(context.Background(), req) {
 		if serr != nil {
@@ -229,6 +233,9 @@ func TestEngineStreamConstrained(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("path %d: %q vs %q", i, got[i], want[i])
 		}
+	}
+	if res == nil || !res.Completed || res.BFSVisited == 0 || res.Timings.Build == 0 {
+		t.Fatalf("constrained stream Result %+v: want a completed run with BFSVisited and Timings.Build set", res)
 	}
 }
 
