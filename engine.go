@@ -70,13 +70,17 @@ type EngineConfig struct {
 	// already evidence. 0 uses DefaultCacheAdmitDegree; negative
 	// restricts deposits to planner-proved shared frontiers only.
 	CacheAdmitDegree int
-	// SnapshotEvery amortizes the engine write path: Engine.Insert
-	// publishes a fresh immutable snapshot (an O(E log E) rebuild) only
-	// after this many applied insertions, with Flush forcing the
-	// remainder out. 0 or 1 publishes on every insert — queries observe
-	// each write immediately; larger values trade read freshness (reads
-	// lag by at most SnapshotEvery-1 edges until the next publish) for
-	// write throughput.
+	// SnapshotEvery batches the engine write path: Engine.Insert publishes
+	// a fresh immutable snapshot only after this many applied insertions,
+	// with Flush forcing the remainder out. 0 or 1 publishes on every
+	// insert — queries observe each write immediately. A publish costs
+	// what its edges touch (each 1024-vertex adjacency chunk an edge lands
+	// in is rebuilt once, the rest is shared with the previous snapshot),
+	// not |E|, so a larger value only trades read freshness (reads lag by
+	// at most SnapshotEvery-1 edges until the next publish) for rebuilding
+	// a chunk once per batch instead of once per edge landing in it, and
+	// for fewer epochs (cached frontiers, the oracle). No non-test caller
+	// in this repository sets a value other than 1.
 	SnapshotEvery int
 	// Metrics, when non-nil, is the registry the engine registers its
 	// series on — share one registry between the engine and an HTTP
@@ -122,7 +126,8 @@ const DefaultCacheAdmitDegree = 16
 // query), so queries parallelize without coordination — the online
 // scenario of §1. Each worker reuses a core.Session, so the O(|V|)
 // per-query buffers are allocated once per worker rather than once per
-// query.
+// query — or per publish: the session pool lives as long as the engine, and
+// a session is bound to the captured (graph, oracle) view at checkout.
 //
 // The engine owns two cross-query structures keyed by graph version: the
 // optional distance oracle and the frontier cache (an LRU of shared BFS
@@ -131,7 +136,7 @@ const DefaultCacheAdmitDegree = 16
 // sides alike, with planner-proved shared frontiers admitted on their
 // batch reuse alone). Dynamic workloads advance the engine either through
 // the engine-owned write path (Insert/Flush: the engine owns the Dynamic,
-// amortizes snapshotting per SnapshotEvery and refreshes the oracle per
+// batches publishes per SnapshotEvery and refreshes the oracle per
 // OracleLandmarks on a background single-flight worker) or with
 // caller-built snapshots via UpdateGraph; both bump the graph epoch, so
 // cached frontiers invalidate lazily on lookup — no sweep — and a stale
@@ -144,17 +149,18 @@ type Engine struct {
 	cache   *cache.FrontierCache // nil when disabled
 	budget  *mem.Budget          // nil when MemoryBudgetBytes is 0
 
-	// mu guards the mutable graph view: the current graph, the oracles
+	// mu guards the mutable graph view: the current graph and the oracles
 	// valid for it (the engine-level one and the per-query default in
-	// defaults.Oracle), and the session pool bound to them. UpdateGraph
-	// and SetOracle swap the pieces together; queries capture a
-	// consistent view under RLock and finish on it even if the engine
-	// advances mid-flight.
+	// defaults.Oracle). UpdateGraph and SetOracle swap the pieces
+	// together; queries capture a consistent view under RLock and finish
+	// on it even if the engine advances mid-flight.
 	mu       sync.RWMutex
 	g        *Graph
 	oracle   DistanceOracle
 	defaults Options
-	sessions *sync.Pool
+	// sessions pools idle sessions for the engine's lifetime; session binds
+	// one to a captured view at checkout.
+	sessions sync.Pool
 	// scratchBytes is the session scratch currently charged to the budget
 	// (workers x core.SessionScratchBytes of the serving graph), written
 	// under mu by graph swaps so the charge follows the graph size.
@@ -234,7 +240,6 @@ func NewEngine(g *Graph, cfg EngineConfig) (*Engine, error) {
 		g:            g,
 		oracle:       cfg.Oracle,
 		defaults:     cfg.Options,
-		sessions:     newSessionPool(g, cfg.Oracle, budget),
 	}
 	if cfg.FrontierCache >= 0 {
 		// Budget split: the cache may hold at most half the budget, and
@@ -256,8 +261,15 @@ func NewEngine(g *Graph, cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-func newSessionPool(g *Graph, oracle DistanceOracle, budget *mem.Budget) *sync.Pool {
-	return &sync.Pool{New: func() any { return core.NewSessionBudget(g, oracle, budget) }}
+// session checks a session out of the pool, bound to the captured (graph,
+// oracle) view; callers return it with e.sessions.Put. Rebinding a session
+// that served an earlier snapshot swaps two pointers (core.Session.Bind).
+func (e *Engine) session(g *Graph, oracle DistanceOracle) *core.Session {
+	if s, ok := e.sessions.Get().(*core.Session); ok {
+		s.Bind(g, oracle)
+		return s
+	}
+	return core.NewSessionBudget(g, oracle, e.budget)
 }
 
 // validateOracleFor rejects a version-aware oracle that does not match g.
@@ -270,11 +282,11 @@ func validateOracleFor(oracle DistanceOracle, g *Graph) error {
 	return nil
 }
 
-// view captures a consistent (graph, oracle, session pool) triple.
-func (e *Engine) view() (*Graph, DistanceOracle, *sync.Pool) {
+// view captures a consistent (graph, oracle) pair.
+func (e *Engine) view() (*Graph, DistanceOracle) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.g, e.oracle, e.sessions
+	return e.g, e.oracle
 }
 
 // Graph returns the engine's current graph.
@@ -293,8 +305,10 @@ func (e *Engine) Epoch() uint64 {
 }
 
 // UpdateGraph swaps the engine to g — typically a fresh Dynamic snapshot
-// after insertions. Sessions rebind to the new graph (in-flight queries
-// finish on the view they captured); cached frontiers are not swept —
+// after insertions. Sessions rebind to the new graph at their next checkout
+// (in-flight queries finish on the view they captured, and a graph with a
+// different |V| makes them reallocate their scratch); cached frontiers are
+// not swept —
 // they invalidate lazily, by version, on their next lookup. An installed
 // oracle that is version-aware and no longer valid for g — the
 // engine-level one or the per-query default in EngineConfig.Options —
@@ -315,21 +329,22 @@ func (e *Engine) UpdateGraph(g *Graph) error {
 	e.dyn = nil
 	e.pending = 0
 	e.oldestPendingNs.Store(0)
-	e.installGraph(g, nil, false)
+	e.installGraph(g, time.Now())
 	if e.cfg.OracleLandmarks > 0 {
 		e.scheduleRebuild(g)
 	}
 	return nil
 }
 
-// installGraph swaps the serving view to g in one critical section. With
-// replaceOracle, the engine-level oracle becomes oracle (pre-built for g
-// by the write path); otherwise a version-aware engine oracle no longer
-// valid for g is dropped. The per-query default oracle always follows the
-// drop-stale rule — it is caller-owned and cannot be rebuilt here.
-// In-flight queries finish on the view they captured; cached frontiers
-// invalidate lazily, by version, on their next lookup.
-func (e *Engine) installGraph(g *Graph, oracle DistanceOracle, replaceOracle bool) {
+// installGraph swaps the serving view to g in one critical section. A
+// version-aware oracle no longer valid for g — the engine-level one or the
+// caller-owned per-query default — is dropped. In-flight queries finish on
+// the view they captured; cached frontiers invalidate lazily, by version,
+// on their next lookup. began is when the publish started — before the
+// snapshot on the write path — and closes the pathenum_publish_seconds
+// observation.
+func (e *Engine) installGraph(g *Graph, began time.Time) {
+	defer func() { e.metrics.publishDur.Observe(time.Since(began)) }()
 	dropStale := func(o DistanceOracle) DistanceOracle {
 		if v, ok := o.(core.GraphValidator); ok && v.ValidFor(g) != nil {
 			return nil
@@ -339,20 +354,15 @@ func (e *Engine) installGraph(g *Graph, oracle DistanceOracle, replaceOracle boo
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.g = g
-	if replaceOracle {
-		e.oracle = oracle
-	} else {
-		e.oracle = dropStale(e.oracle)
-	}
+	e.oracle = dropStale(e.oracle)
 	e.defaults.Oracle = dropStale(e.defaults.Oracle)
-	e.sessions = newSessionPool(g, e.oracle, e.budget)
-	// Re-account the mandatory scratch charge to the new graph's size.
-	// If the graph grew past what the configured budget anticipated, usage
-	// may exceed the limit (Budget.Must semantics): the engine keeps
-	// serving with cache deposits and join builds starved until the
-	// pressure clears.
-	if e.budget != nil {
-		newScratch := int64(e.workers) * core.SessionScratchBytes(g.NumVertices())
+	// The mandatory scratch charge follows the serving graph's size (a
+	// publish keeps |V|; UpdateGraph may not). If the graph grew past what
+	// the configured budget anticipated, usage may exceed the limit
+	// (Budget.Must semantics): the engine keeps serving with cache deposits
+	// and join builds starved until the pressure clears.
+	newScratch := int64(e.workers) * core.SessionScratchBytes(g.NumVertices())
+	if e.budget != nil && newScratch != e.scratchBytes {
 		e.budget.Release(mem.ClassScratch, e.scratchBytes)
 		e.budget.Must(mem.ClassScratch, newScratch)
 		e.scratchBytes = newScratch
@@ -419,8 +429,9 @@ func (e *Engine) PendingWrites() int {
 	return e.pending
 }
 
-// publishLocked materializes the Dynamic's current state and swaps the
-// serving view immediately. Caller holds e.wmu. With OracleLandmarks set
+// publishLocked chains the pending insertions onto the Dynamic's previous
+// snapshot (Dynamic.Snapshot: the cost of the chunks they touch) and swaps
+// the serving view immediately. Caller holds e.wmu. With OracleLandmarks set
 // the oracle rebuild (two BFS passes per landmark) no longer sits on this
 // path: the snapshot serves right away — a version-aware oracle for the
 // previous graph is dropped by installGraph — and a single-flight
@@ -428,13 +439,14 @@ func (e *Engine) PendingWrites() int {
 // it via the SetOracle path only if the snapshot is still the serving
 // graph when the build finishes.
 func (e *Engine) publishLocked() error {
+	start := time.Now()
 	snap := e.dyn.Snapshot()
+	e.installGraph(snap, start)
 	e.pending = 0
 	if oldest := e.oldestPendingNs.Swap(0); oldest != 0 {
 		e.metrics.publishLag.Observe(time.Since(time.Unix(0, oldest)))
 	}
 	e.metrics.publishes.Inc()
-	e.installGraph(snap, nil, false)
 	if e.cfg.OracleLandmarks > 0 {
 		e.scheduleRebuild(snap)
 	}
@@ -489,7 +501,6 @@ func (e *Engine) rebuildLoop(done chan struct{}) {
 		e.mu.Lock()
 		if e.g == target {
 			e.oracle = oracle
-			e.sessions = newSessionPool(e.g, oracle, e.budget)
 			e.degradedSince.Store(0)
 		}
 		e.mu.Unlock()
@@ -547,7 +558,6 @@ func (e *Engine) SetOracle(oracle DistanceOracle) error {
 		return err
 	}
 	e.oracle = oracle
-	e.sessions = newSessionPool(e.g, oracle, e.budget)
 	if oracle != nil {
 		e.degradedSince.Store(0)
 	}
@@ -633,7 +643,7 @@ func (e *Engine) WarmCache(ctx context.Context, endpoints []WarmEndpoint) (int, 
 	if e.cache == nil {
 		return 0, nil
 	}
-	g, _, _ := e.view()
+	g, _ := e.view()
 	warmed := 0
 	for _, ep := range endpoints {
 		if err := ctx.Err(); err != nil {
@@ -682,7 +692,7 @@ func (e *Engine) Execute(q Query) (*Result, error) {
 func (e *Engine) ExecuteWith(ctx context.Context, q Query, opts Options) (*Result, error) {
 	e.metrics.requests[opExecute].Inc()
 	start := time.Now()
-	g, oracle, pool := e.view()
+	g, oracle := e.view()
 	merged := e.MergeOptions(opts)
 	// Time-to-first-path piggybacks on the caller's Emit when one is set
 	// (the per-path seam already exists; one branch is added to it).
@@ -698,8 +708,8 @@ func (e *Engine) ExecuteWith(ctx context.Context, q Query, opts Options) (*Resul
 	}
 	defer e.track(merged.Parallelism)()
 	fwd, bwd := e.frontiers(ctx, g, oracle, q, merged)
-	sess := pool.Get().(*core.Session)
-	defer pool.Put(sess)
+	sess := e.session(g, oracle)
+	defer e.sessions.Put(sess)
 	res, err := sess.RunShared(ctx, q, merged, fwd, bwd)
 	e.metrics.finish(opExecute, res, err, start, firstPath)
 	return res, err
@@ -990,9 +1000,9 @@ func (e *Engine) ExecuteBatch(ctx context.Context, queries []Query, opts Options
 	e.metrics.requests[opBatch].Inc()
 	e.metrics.batchQueries.Add(uint64(len(queries)))
 	start := time.Now()
-	g, _, pool := e.view()
+	g, oracle := e.view()
 	merged := e.MergeOptions(opts)
-	sch := e.newScheduler(g, pool, merged)
+	sch := e.newScheduler(g, oracle, merged)
 	plan := batch.NewPlanner(g).Plan(queries)
 	uniqRes, uniqErrs, stats := sch.Execute(ctx, g, plan, merged)
 	// Batch runs bypass ExecuteWith, so their stage timings fold in here —
@@ -1005,14 +1015,14 @@ func (e *Engine) ExecuteBatch(ctx context.Context, queries []Query, opts Options
 	return results, errs, stats
 }
 
-// newScheduler builds a batch scheduler over the captured (graph, pool)
+// newScheduler builds a batch scheduler over the captured (graph, oracle)
 // view, wiring the frontier cache in when the predicate is identifiable.
 // Shared by the materializing ExecuteBatch and the streaming StreamBatch.
-func (e *Engine) newScheduler(g *Graph, pool *sync.Pool, merged Options) *batch.Scheduler {
+func (e *Engine) newScheduler(g *Graph, oracle DistanceOracle, merged Options) *batch.Scheduler {
 	sch := &batch.Scheduler{
 		Workers: e.workers,
-		Acquire: func() *core.Session { return pool.Get().(*core.Session) },
-		Release: func(s *core.Session) { pool.Put(s) },
+		Acquire: func() *core.Session { return e.session(g, oracle) },
+		Release: func(s *core.Session) { e.sessions.Put(s) },
 	}
 	if e.cache != nil && (merged.Predicate == nil || merged.PredicateToken != core.PredicateNone) {
 		sch.Frontiers = &frontierCacheProvider{e: e, g: g, ver: g.Version(), tok: merged.PredicateToken}

@@ -227,12 +227,14 @@ func TestStreamWhileInsertRebuild(t *testing.T) {
 }
 
 // BenchmarkInsertPublish measures the publishing-insert critical path.
-// The acceptance point: with background rebuilds (OracleLandmarks > 0)
+// Two acceptance points: with background rebuilds (OracleLandmarks > 0)
 // the per-insert latency must track the no-oracle baseline, not the
-// inline-rebuild one — oracle construction is off the write path.
+// inline-rebuild one — oracle construction is off the write path — and the
+// no-oracle latency must not move between the two graph sizes, which take
+// the same insert stream: a publish costs the chunks it touches, not |E|.
 func BenchmarkInsertPublish(b *testing.B) {
-	const n = 5000
-	bench := func(b *testing.B, cfg EngineConfig, inline bool) {
+	const span = 5000 // both sizes insert among the first 5000 vertices
+	bench := func(b *testing.B, n int, cfg EngineConfig, inline bool) {
 		g := gen.BarabasiAlbert(n, 4, 211)
 		e, err := NewEngine(g, cfg)
 		if err != nil {
@@ -247,8 +249,8 @@ func BenchmarkInsertPublish(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for {
-				from := VertexID(rng.Intn(n))
-				to := VertexID(rng.Intn(n))
+				from := VertexID(rng.Intn(span))
+				to := VertexID(rng.Intn(span))
 				added, err := e.Insert(from, to)
 				if err != nil {
 					b.Fatal(err)
@@ -278,13 +280,18 @@ func BenchmarkInsertPublish(b *testing.B) {
 			}
 		}
 	}
-	b.Run("no-oracle", func(b *testing.B) {
-		bench(b, EngineConfig{}, false)
-	})
-	b.Run("rebuild-async", func(b *testing.B) {
-		bench(b, EngineConfig{OracleLandmarks: 8}, false)
-	})
-	b.Run("rebuild-inline", func(b *testing.B) {
-		bench(b, EngineConfig{}, true)
-	})
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"n5k", 5000}, {"n50k", 50000}} {
+		b.Run("no-oracle/"+size.name, func(b *testing.B) {
+			bench(b, size.n, EngineConfig{}, false)
+		})
+		b.Run("rebuild-async/"+size.name, func(b *testing.B) {
+			bench(b, size.n, EngineConfig{OracleLandmarks: 8}, false)
+		})
+		b.Run("rebuild-inline/"+size.name, func(b *testing.B) {
+			bench(b, size.n, EngineConfig{}, true)
+		})
+	}
 }

@@ -45,6 +45,19 @@ func NewSessionBudget(g *graph.Graph, oracle DistanceOracle, b *mem.Budget) *Ses
 	return s
 }
 
+// Bind points an idle session at another graph and oracle — the engine
+// does this at every pool checkout, so sessions outlive the snapshot they
+// were created on. The scratch is addressed by vertex id, sized by |V|
+// alone and cleared from its own visit lists at the start of a run: it is
+// kept when |V| is unchanged (every insert-only snapshot) and reallocated
+// otherwise.
+func (s *Session) Bind(g *graph.Graph, oracle DistanceOracle) {
+	if n := g.NumVertices(); n != s.ex.g.NumVertices() {
+		s.ex.scratch, s.ex.pos = newBFSScratch(n), newPosMap(n)
+	}
+	s.ex.g, s.ex.oracle = g, oracle
+}
+
 // Graph returns the session's graph.
 func (s *Session) Graph() *graph.Graph { return s.ex.g }
 

@@ -1,13 +1,20 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+	"math"
+	"slices"
+)
 
 // Dynamic is a small insertion-only dynamic graph used by streaming
-// workloads (e-commerce fraud detection, Figure 8). It keeps a base CSR
-// graph plus per-vertex overflow adjacency for edges inserted after
-// construction. Because the PathEnum index is rebuilt per query, queries on
-// a Dynamic graph see all insertions immediately — no global index
-// maintenance is required (§7.2 "Performance on Dynamic Graphs").
+// workloads (e-commerce fraud detection, Figure 8): the latest snapshot plus
+// the edges inserted since. Because the PathEnum index is rebuilt per query,
+// queries on the next snapshot see all insertions — no global index
+// maintenance is required (§7.2 "Performance on Dynamic Graphs") — and
+// because snapshots are chained with Graph.WithEdges, publishing one costs
+// what its pending edges touch, whatever the size of the graph or the
+// number of edges inserted before.
 //
 // Every successful Insert bumps the graph's epoch, and Snapshot stamps the
 // materialized graph with the Dynamic's (lineage, epoch) identity. Derived
@@ -17,49 +24,25 @@ import "fmt"
 // labels. A Dynamic starts its own lineage: artifacts built on the base
 // graph itself are not valid for its snapshots (and vice versa), which
 // keeps two Dynamics wrapping one base from colliding on epoch numbers.
+// They never see each other's edges either: snapshots share unchanged
+// chunks with the base, and nothing shared is ever written.
 //
 // A Dynamic is not safe for concurrent use; the intended topology is one
 // writer that inserts, snapshots, and hands the immutable snapshots to
 // concurrent readers (e.g. Engine.UpdateGraph).
 type Dynamic struct {
-	base     *Graph
-	extraOut map[VertexID][]VertexID
-	extraIn  map[VertexID][]VertexID
-	// mergedOut/mergedIn memoize the base+overflow adjacency a vertex
-	// with overflow edges returns from Out/InNeighbors, so the
-	// enumeration hot loop does not allocate a fresh merged slice per
-	// expansion. An entry is dropped by the next Insert touching that
-	// vertex and rebuilt on the next lookup. Safe under the single-writer
-	// contract: readers run against immutable Snapshots, and the one
-	// writer never races its own Insert with its own neighbor lookups.
-	mergedOut map[VertexID][]VertexID
-	mergedIn  map[VertexID][]VertexID
-	// outSet is a per-vertex overflow membership set, built once a
-	// vertex's overflow out-degree passes overflowSetThreshold, so
-	// hub-targeted insert streams pay O(1) duplicate detection instead of
-	// rescanning an ever-growing overflow slice per Insert (quadratic in
-	// the stream length).
-	outSet map[VertexID]map[VertexID]struct{}
-	added  int64
-	ver    Version
+	cur     *Graph            // the latest snapshot; the base, restamped, at first
+	pending map[Edge]struct{} // inserted since cur, none of them in cur
+	ver     Version
 }
-
-// overflowSetThreshold is the overflow out-degree past which HasEdge
-// switches from a linear overflow scan to a membership set. Small
-// overflows stay set-free: the scan beats map overhead there.
-const overflowSetThreshold = 8
 
 // NewDynamic wraps a base graph for incremental insertion.
 func NewDynamic(base *Graph) *Dynamic {
-	return &Dynamic{
-		base:      base,
-		extraOut:  make(map[VertexID][]VertexID),
-		extraIn:   make(map[VertexID][]VertexID),
-		mergedOut: make(map[VertexID][]VertexID),
-		mergedIn:  make(map[VertexID][]VertexID),
-		outSet:    make(map[VertexID]map[VertexID]struct{}),
-		ver:       newLineage(),
-	}
+	d := &Dynamic{pending: make(map[Edge]struct{}), ver: newLineage()}
+	cur := *base // the chunk tables are shared, only the stamp differs
+	cur.ver = d.ver
+	d.cur = &cur
+	return d
 }
 
 // Epoch returns the number of successful insertions since construction.
@@ -73,110 +56,63 @@ func (d *Dynamic) Version() Version { return d.ver }
 // are ignored, matching NewGraph semantics. It reports whether the edge was
 // actually added.
 func (d *Dynamic) Insert(from, to VertexID) (bool, error) {
-	n := int32(d.base.NumVertices())
-	if from < 0 || from >= n || to < 0 || to >= n {
-		return false, fmt.Errorf("%w: edge (%d,%d) with n=%d", ErrVertexRange, from, to, n)
+	e := Edge{From: from, To: to}
+	if err := checkRange(d.cur.numVertices, e); err != nil {
+		return false, err
 	}
 	if from == to || d.HasEdge(from, to) {
 		return false, nil
 	}
-	d.extraOut[from] = append(d.extraOut[from], to)
-	d.extraIn[to] = append(d.extraIn[to], from)
-	if set, ok := d.outSet[from]; ok {
-		set[to] = struct{}{}
-	} else if len(d.extraOut[from]) > overflowSetThreshold {
-		set = make(map[VertexID]struct{}, 2*overflowSetThreshold)
-		for _, w := range d.extraOut[from] {
-			set[w] = struct{}{}
-		}
-		d.outSet[from] = set
+	// Below this total no chunk can outgrow its int32 offsets, so Snapshot
+	// cannot fail.
+	if d.NumEdges() >= math.MaxInt32 {
+		return false, fmt.Errorf("%w: a Dynamic holds at most 2^31-1 edges", errChunkTooLarge)
 	}
-	delete(d.mergedOut, from)
-	delete(d.mergedIn, to)
-	d.added++
+	d.pending[e] = struct{}{}
 	d.ver.epoch++
 	return true, nil
 }
 
-// HasEdge reports whether (from, to) exists in the base graph or overflow.
+// HasEdge reports whether (from, to) is in the graph, published or pending.
 func (d *Dynamic) HasEdge(from, to VertexID) bool {
-	if d.base.HasEdge(from, to) {
-		return true
-	}
-	if set, ok := d.outSet[from]; ok {
-		_, hit := set[to]
-		return hit
-	}
-	for _, w := range d.extraOut[from] {
-		if w == to {
-			return true
-		}
-	}
-	return false
+	_, pending := d.pending[Edge{From: from, To: to}]
+	return pending || d.cur.HasEdge(from, to)
 }
 
 // NumVertices returns the number of vertices.
-func (d *Dynamic) NumVertices() int { return d.base.NumVertices() }
+func (d *Dynamic) NumVertices() int { return d.cur.NumVertices() }
 
 // NumEdges returns the total number of edges including insertions.
-func (d *Dynamic) NumEdges() int64 { return d.base.NumEdges() + d.added }
+func (d *Dynamic) NumEdges() int64 { return d.cur.NumEdges() + int64(len(d.pending)) }
 
-// OutNeighbors returns the out-neighbors of v. When v has overflow edges
-// the merged base+overflow slice is memoized until the next Insert
-// touching v, so repeated expansions of a hot vertex do not allocate;
-// otherwise the result aliases base storage. Callers must not mutate the
-// returned slice.
-func (d *Dynamic) OutNeighbors(v VertexID) []VertexID {
-	extra := d.extraOut[v]
-	if len(extra) == 0 {
-		return d.base.OutNeighbors(v)
-	}
-	if m, ok := d.mergedOut[v]; ok {
-		return m
-	}
-	baseN := d.base.OutNeighbors(v)
-	out := make([]VertexID, 0, len(baseN)+len(extra))
-	out = append(out, baseN...)
-	out = append(out, extra...)
-	d.mergedOut[v] = out
-	return out
-}
+// OutNeighbors returns the sorted out-neighbors of v, publishing pending
+// insertions first (see Snapshot); the result aliases snapshot storage and
+// must not be modified.
+func (d *Dynamic) OutNeighbors(v VertexID) []VertexID { return d.Snapshot().OutNeighbors(v) }
 
-// InNeighbors returns the in-neighbors of v, analogous to OutNeighbors.
-func (d *Dynamic) InNeighbors(v VertexID) []VertexID {
-	extra := d.extraIn[v]
-	if len(extra) == 0 {
-		return d.base.InNeighbors(v)
-	}
-	if m, ok := d.mergedIn[v]; ok {
-		return m
-	}
-	baseN := d.base.InNeighbors(v)
-	out := make([]VertexID, 0, len(baseN)+len(extra))
-	out = append(out, baseN...)
-	out = append(out, extra...)
-	d.mergedIn[v] = out
-	return out
-}
+// InNeighbors returns the sorted in-neighbors of v, analogous to
+// OutNeighbors.
+func (d *Dynamic) InNeighbors(v VertexID) []VertexID { return d.Snapshot().InNeighbors(v) }
 
-// Snapshot materializes the current state as an immutable Graph stamped
-// with the Dynamic's current (lineage, epoch) identity, so two snapshots
-// of the same epoch are interchangeable for cached frontiers and oracles
-// while any later-epoch snapshot invalidates them. PathEnum queries on
-// dynamic workloads run against snapshots; snapshotting is O(E log E) and
-// typically amortized across many queries per insertion batch.
+// Snapshot returns the current state as an immutable Graph stamped with the
+// Dynamic's current (lineage, epoch) identity, so two snapshots of the same
+// epoch are interchangeable for cached frontiers and oracles while any
+// later-epoch snapshot invalidates them. With nothing inserted since the
+// last call it returns the same *Graph again. Otherwise it chains one
+// Graph.WithEdges step onto the previous snapshot: the cost is the pending
+// edges plus the chunks they land in (each rebuilt once, however many land
+// there), not |E|, and earlier snapshots stay valid and unchanged.
 func (d *Dynamic) Snapshot() *Graph {
-	extra := make([]Edge, 0, d.added)
-	for from, tos := range d.extraOut {
-		for _, to := range tos {
-			extra = append(extra, Edge{From: from, To: to})
-		}
+	if len(d.pending) == 0 {
+		return d.cur
 	}
-	g, err := d.base.WithEdges(extra)
+	g, err := d.cur.WithEdges(slices.Collect(maps.Keys(d.pending)))
 	if err != nil {
-		// Cannot happen: Insert validated all endpoints.
+		// Cannot happen: Insert validated the endpoints and the edge total.
 		panic(err)
 	}
 	g.ver = d.ver
+	d.cur = g
+	clear(d.pending)
 	return g
 }

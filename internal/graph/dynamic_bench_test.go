@@ -1,65 +1,22 @@
 package graph
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
-// TestDynamicMergedNeighborCache pins the warm-path behavior of the
-// memoized merged adjacency: after an insert, the first lookup merges
-// and every later lookup is allocation-free until the next insert to
-// that vertex invalidates it.
-func TestDynamicMergedNeighborCache(t *testing.T) {
-	base := mustGraph(t, 8, []Edge{{0, 1}, {0, 2}, {3, 0}})
-	d := NewDynamic(base)
-	if _, err := d.Insert(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	d.OutNeighbors(0) // warm the merge
-	if allocs := testing.AllocsPerRun(50, func() { d.OutNeighbors(0) }); allocs != 0 {
-		t.Fatalf("warm OutNeighbors allocs/op = %v, want 0", allocs)
-	}
-	if _, err := d.Insert(4, 0); err != nil {
-		t.Fatal(err)
-	}
-	d.InNeighbors(0)
-	if allocs := testing.AllocsPerRun(50, func() { d.InNeighbors(0) }); allocs != 0 {
-		t.Fatalf("warm InNeighbors allocs/op = %v, want 0", allocs)
-	}
-
-	// The next insert touching the vertex invalidates exactly its entry.
-	if _, err := d.Insert(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	out := d.OutNeighbors(0)
-	if len(out) != 4 {
-		t.Fatalf("OutNeighbors(0) after invalidation = %v, want 4 entries", out)
-	}
-	want := map[VertexID]bool{1: true, 2: true, 3: true, 5: true}
-	for _, w := range out {
-		if !want[w] {
-			t.Fatalf("unexpected out-neighbor %d in %v", w, out)
-		}
-	}
-	// In-neighbors of the *target* were invalidated by the same insert.
-	if in := d.InNeighbors(5); len(in) != 1 || in[0] != 0 {
-		t.Fatalf("InNeighbors(5) = %v, want [0]", in)
-	}
-}
-
-// TestDynamicOverflowSetDuplicates pins that duplicate detection stays
-// behaviorally identical across the linear-scan -> membership-set
-// switchover at overflowSetThreshold.
-func TestDynamicOverflowSetDuplicates(t *testing.T) {
+// TestDynamicDuplicatesAcrossPendingAndPublished pins duplicate detection
+// over the three places an edge can already be: the base, a published
+// snapshot, and the pending batch — for a hub whose list keeps growing.
+func TestDynamicDuplicatesAcrossPendingAndPublished(t *testing.T) {
 	const n = 64
-	base := mustGraph(t, n, []Edge{{0, 1}})
-	d := NewDynamic(base)
-	// Drive vertex 0's overflow well past the threshold, re-offering
-	// every edge (base and overflow) as a duplicate along the way.
+	d := NewDynamic(mustGraph(t, n, []Edge{{0, 1}}))
 	for to := VertexID(2); to < 40; to++ {
 		added, err := d.Insert(0, to)
 		if err != nil || !added {
 			t.Fatalf("Insert(0,%d) = %v, %v", to, added, err)
+		}
+		// Every third edge is published before the duplicates are offered,
+		// the others are still pending.
+		if to%3 == 0 {
+			d.Snapshot()
 		}
 		for dup := VertexID(1); dup <= to; dup++ {
 			if added, err := d.Insert(0, dup); err != nil || added {
@@ -68,47 +25,37 @@ func TestDynamicOverflowSetDuplicates(t *testing.T) {
 		}
 	}
 	if !d.HasEdge(0, 1) || !d.HasEdge(0, 39) || d.HasEdge(0, 40) {
-		t.Fatal("HasEdge wrong after overflow-set switchover")
+		t.Fatal("HasEdge wrong across pending and published edges")
 	}
-	if got := len(d.OutNeighbors(0)); got != 39 {
-		t.Fatalf("out-degree = %d, want 39", got)
+	if got := len(d.OutNeighbors(0)); got != 39 || d.NumEdges() != 39 || d.Epoch() != 38 {
+		t.Fatalf("out-degree %d, |E| %d, epoch %d, want 39, 39, 38", got, d.NumEdges(), d.Epoch())
 	}
 }
 
-// BenchmarkDynamicOutNeighborsWarm measures the enumeration hot loop's
-// view of a vertex with overflow edges. Run with -benchmem: the memoized
-// merge holds this at 0 allocs/op; before the fix every call allocated
-// the merged slice.
-func BenchmarkDynamicOutNeighborsWarm(b *testing.B) {
-	const n = 1024
-	edges := make([]Edge, 0, 4*n)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 4*n; i++ {
-		edges = append(edges, Edge{From: int32(rng.Intn(n)), To: int32(rng.Intn(n))})
+// TestDynamicWarmNeighborsAllocFree: the first neighbor read after an
+// insert publishes it; every later one is a read of the snapshot.
+func TestDynamicWarmNeighborsAllocFree(t *testing.T) {
+	d := NewDynamic(mustGraph(t, 8, []Edge{{0, 1}, {0, 2}, {3, 0}}))
+	if _, err := d.Insert(0, 3); err != nil {
+		t.Fatal(err)
 	}
-	base, err := NewGraph(n, edges)
-	if err != nil {
-		b.Fatal(err)
+	if _, err := d.Insert(4, 0); err != nil {
+		t.Fatal(err)
 	}
-	d := NewDynamic(base)
-	for to := VertexID(0); to < 12; to++ {
-		if _, err := d.Insert(5, to); err != nil {
-			b.Fatal(err)
-		}
+	if out := d.OutNeighbors(0); len(out) != 3 {
+		t.Fatalf("OutNeighbors(0) = %v, want 3 entries", out)
 	}
-	d.OutNeighbors(5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += len(d.OutNeighbors(5))
+	if allocs := testing.AllocsPerRun(50, func() { d.OutNeighbors(0); d.InNeighbors(0) }); allocs != 0 {
+		t.Fatalf("warm neighbor reads allocate %v times per run, want 0", allocs)
 	}
-	_ = sink
+	if in := d.InNeighbors(0); len(in) != 2 || in[0] != 3 || in[1] != 4 {
+		t.Fatalf("InNeighbors(0) = %v, want [3 4]", in)
+	}
 }
 
-// BenchmarkDynamicInsertHub measures hub-targeted insert streams: with
-// the overflow membership set, duplicate detection is O(1) per insert
-// instead of a rescan of the hub's ever-growing overflow slice.
+// BenchmarkDynamicInsertHub measures hub-targeted insert streams between
+// publishes: duplicate detection is one map probe and one binary search,
+// whatever the length of the pending batch.
 func BenchmarkDynamicInsertHub(b *testing.B) {
 	const n = 1 << 16
 	base, err := NewGraph(n, []Edge{{0, 1}})

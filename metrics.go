@@ -93,6 +93,10 @@ type engineMetrics struct {
 	// amortization); the live counterpart is the
 	// pathenum_insert_lag_seconds gauge.
 	publishLag *obs.Histogram
+	// publishDur times what a publish costs the write lock: the snapshot
+	// plus the swap of the serving view (Insert/Flush), or the swap alone
+	// (UpdateGraph).
+	publishDur *obs.Histogram
 	// oracleRebuilds / oracleRebuildDur count and time the background
 	// oracle rebuilds (OracleLandmarks); the live degraded-window
 	// counterpart is the pathenum_oracle_lag_seconds gauge.
@@ -173,6 +177,8 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		"Serving-snapshot publishes from the engine write path.")
 	m.publishLag = reg.Histogram("pathenum_insert_publish_lag_seconds",
 		"Age of the oldest buffered insertion at each snapshot publish.")
+	m.publishDur = reg.Histogram("pathenum_publish_seconds",
+		"Duration of a serving-graph publish: snapshot plus install (Insert, Flush) or install (UpdateGraph).")
 	m.oracleRebuilds = reg.Counter("pathenum_oracle_rebuilds_total",
 		"Background distance-oracle rebuilds completed.")
 	m.oracleRebuildDur = reg.Histogram("pathenum_oracle_rebuild_seconds",

@@ -153,6 +153,9 @@ func TestMetricsWritePath(t *testing.T) {
 	if got := snap["pathenum_insert_publish_lag_seconds_count"]; got != 1 {
 		t.Fatalf("publish lag observations = %v", got)
 	}
+	if got := snap["pathenum_publish_seconds_count"]; got != 1 {
+		t.Fatalf("publish duration observations = %v", got)
+	}
 	if got := snap["pathenum_pending_writes"]; got != 0 {
 		t.Fatalf("pending writes after flush = %v", got)
 	}
@@ -187,6 +190,8 @@ func TestMetricsExpositionValid(t *testing.T) {
 		"# TYPE pathenum_pool_utilization gauge",
 		"pathenum_graph_epoch 1",
 		"pathenum_inserts_total 1",
+		"# TYPE pathenum_publish_seconds histogram",
+		"pathenum_publish_seconds_count 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

@@ -222,10 +222,10 @@ func (e *Engine) startStream(ctx context.Context, req Request) (iter.Seq2[Path, 
 		par = 0 // the constrained DFS runs sequentially
 	}
 	lease := streamLease{release: e.track(par)}
-	g, oracle, pool := e.view()
+	g, oracle := e.view()
 	sc.Fwd, sc.Bwd = e.frontiers(ctx, g, oracle, req.Query(), merged)
-	lease.pool = pool
-	lease.sess = pool.Get().(*core.Session)
+	lease.pool = &e.sessions
+	lease.sess = e.session(g, oracle)
 	return lease.sess.StreamWith(ctx, req.Query(), merged, sc), lease
 }
 
@@ -271,7 +271,7 @@ func (e *Engine) StreamBatch(ctx context.Context, queries []Query, opts Options)
 		defer func() {
 			e.metrics.latency[opStreamBatch].Observe(time.Since(start))
 		}()
-		g, _, pool := e.view()
+		g, oracle := e.view()
 		merged := e.MergeOptions(opts)
 		plan := batch.NewPlanner(g).Plan(queries)
 		for i, err := range plan.Invalid() {
@@ -291,7 +291,7 @@ func (e *Engine) StreamBatch(ctx context.Context, queries []Query, opts Options)
 		// so a stalled client cannot hold worker slots hostage — the
 		// consumer-side flush is the only thing that lags.
 		ch := make(chan settled, len(plan.Unique))
-		sch := e.newScheduler(g, pool, merged)
+		sch := e.newScheduler(g, oracle, merged)
 		sch.OnResult = func(u int, res *core.Result, err error) {
 			ch <- settled{u: u, res: res, err: err}
 		}
