@@ -8,22 +8,18 @@
 //	benchpath table3 fig6 fig13      # several
 //	benchpath all                    # everything
 //	benchpath -scale 0.2 -queries 30 -timelimit 500ms table3
-//	benchpath -plan join -json stream   # join-planned streaming, JSON report
+//	benchpath -json parallel            # machine-readable JSON report
 //
 // Experiments: table3 table4 table5 table6 table7 fig6 fig7 fig8 fig9
-// fig10 fig12 fig13 fig16 fig17 fig18 ext batch batch2 cache stream
-// parallel shard mem
+// fig10 fig12 fig13 fig16 fig17 fig18 ext batch batch2 cache parallel
+// shard mem
 // (fig10 covers figure 11; fig13 covers figures 14 and 15; ext is this
 // repository's extension ablation; batch compares the shared-computation
 // batch subsystem against the naive per-query fan-out on shared-endpoint
 // workloads; batch2 runs a cold hub-to-hub grid through the two-sided
 // planner — one BFS per distinct endpoint; cache repeats a shared-hub batch to show the second call
 // served from the cross-batch frontier cache with zero BFS passes;
-// stream measures time-to-first-path of the pull-based path stream
-// against full enumeration — the real-time delivery metric; -plan forces
-// the enumeration plan there, so `stream -plan join` isolates the
-// tuple-at-a-time join's first-path latency, and the -json report
-// carries the plan kind per row; parallel sweeps intra-query fan-out —
+// parallel sweeps intra-query fan-out —
 // Options.Parallelism doubling 1, 2, ... up to -parallel — reporting
 // drain speedup and first-path latency per fan-out; shard runs
 // partition-aware intra and cross query classes through the sharded
@@ -75,7 +71,6 @@ var experiments = []struct {
 	{"batch", func(c bench.Config) (renderable, error) { return bench.Batch(c) }},
 	{"batch2", func(c bench.Config) (renderable, error) { return bench.BatchTwoSided(c) }},
 	{"cache", func(c bench.Config) (renderable, error) { return bench.Cache(c) }},
-	{"stream", func(c bench.Config) (renderable, error) { return bench.Stream(c) }},
 	{"parallel", func(c bench.Config) (renderable, error) { return bench.Parallel(c) }},
 	{"shard", func(c bench.Config) (renderable, error) { return bench.Shard(c) }},
 	{"mem", func(c bench.Config) (renderable, error) { return bench.Mem(c) }},
@@ -89,7 +84,7 @@ func main() {
 		timeLimit = flag.Duration("timelimit", 2*time.Second, "per-query time limit")
 		datasets  = flag.String("datasets", "", "comma-separated dataset subset")
 		seed      = flag.Int64("seed", 42, "workload seed")
-		plan      = flag.String("plan", "auto", "forced plan for plan-aware experiments (auto|dfs|join)")
+		plan      = flag.String("plan", "auto", "requested plan, recorded in the report's meta block (auto|dfs|join)")
 		parallel  = flag.Int("parallel", 4, "maximum intra-query fan-out for the parallel experiment")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON instead of rendered tables")
 	)
@@ -145,9 +140,8 @@ func runOne(name string, cfg bench.Config, jsonOut bool) error {
 		if jsonOut {
 			// One self-describing JSON document per experiment: the shared
 			// schema/meta block (bench.SchemaVersion — the same schema
-			// cmd/loadpath emits), then the result struct verbatim (e.g. the
-			// stream rows carry the requested plan and the executed join/dfs
-			// plan counts) under its name.
+			// cmd/loadpath emits), then the result struct verbatim under its
+			// name.
 			out, err := json.MarshalIndent(struct {
 				Experiment string        `json:"experiment"`
 				Meta       bench.RunMeta `json:"meta"`

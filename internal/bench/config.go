@@ -30,9 +30,10 @@ type Config struct {
 	Setting workload.Setting
 	// Seed drives workload sampling.
 	Seed int64
-	// Plan forces the enumeration plan for experiments that honor it
-	// (currently Stream): "auto" (or empty) runs the two-phase optimizer,
-	// "dfs" forces IDX-DFS, "join" forces the tuple-at-a-time IDX-JOIN.
+	// Plan is the requested enumeration plan ("auto" or empty, "dfs",
+	// "join"), recorded in RunMeta. No current experiment forces a plan —
+	// the streaming experiment that did is the benchmark's
+	// core.session.stream_* and server.paths.* rungs now.
 	Plan string
 	// Parallel is the maximum intra-query fan-out swept by the Parallel
 	// experiment (Options.Parallelism doubling 1, 2, ... up to this; 0

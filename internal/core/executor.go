@@ -166,6 +166,11 @@ func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd
 			res.MemFallback = true
 		}
 	}
+	// The same estimate sizes the build side's storage once, up front.
+	var buildWalks uint64
+	if res.Plan.Method == MethodJoin && res.Plan.Full != nil {
+		buildWalks, _ = res.Plan.Full.buildSide(res.Plan.Cut, res.Plan.Build)
+	}
 
 	// Phase 3: enumeration, fanned across shard goroutines when the
 	// caller requested intra-query parallelism (the fan-out covers only
@@ -182,11 +187,11 @@ func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd
 		// computed; the probe side streams through ctl.Emit tuple-at-a-time,
 		// so a pull consumer (Session.Stream) gets its first joined path
 		// after building only the smaller half.
+		solo := ctl
 		if par > 1 {
-			res.Completed, err = EnumerateJoinSideParallel(ix, res.Plan.Cut, res.Plan.Build, par, ctl, &res.Counters, &res.JoinStats)
-		} else {
-			res.Completed, err = EnumerateJoinSide(ix, res.Plan.Cut, res.Plan.Build, ctl, &res.Counters, &res.JoinStats)
+			solo = ownedEmit(ctl)
 		}
+		res.Completed, err = enumerateJoin(ix, res.Plan.Cut, res.Plan.Build, par, buildWalks, ctl, solo, &res.Counters, &res.JoinStats)
 	case par > 1:
 		res.Completed = EnumerateDFSParallel(ix, par, ctl, &res.Counters)
 	default:
@@ -244,6 +249,21 @@ func selectPlan(ix *Index, opts Options) Plan {
 	}
 }
 
+// buildSide returns what the estimator knows about the join's build side
+// at cut: the number of walks EnumerateJoinSide would materialize for that
+// side — Algorithm 5's count, exact for a left build, an upper bound for a
+// right one (the build keeps only the cut vertices s reaches in exactly cut
+// steps) — and the vertices per walk.
+func (e *Estimate) buildSide(cut int, side BuildSide) (walks uint64, buildLen int) {
+	if side == BuildAuto {
+		side = e.BuildSideAt(cut)
+	}
+	if side == BuildRight {
+		return e.SumToT[cut], e.k - cut + 1
+	}
+	return e.SumFromS[cut], cut + 1
+}
+
 // predictedBuildBytes converts the estimator's tuple count at the cut
 // into the bytes EnumerateJoinSide would materialize for that side: the
 // flat walk storage (buildLen vertices per tuple) plus one bucket index
@@ -251,18 +271,9 @@ func selectPlan(ix *Index, opts Options) Plan {
 // after the fact. Saturates instead of overflowing on pathological
 // estimates (which then only admit under an unlimited budget).
 func predictedBuildBytes(est *Estimate, cut int, side BuildSide) int64 {
-	k := len(est.SumFromS) - 1
-	if side == BuildAuto {
-		side = est.BuildSideAt(cut)
-	}
-	tuples := est.SumFromS[cut]
-	buildLen := cut + 1
-	if side == BuildRight {
-		tuples = est.SumToT[cut]
-		buildLen = k - cut + 1
-	}
+	tuples, buildLen := est.buildSide(cut, side)
 	per := uint64(buildLen+1) * 4
-	if per == 0 || tuples > math.MaxInt64/per {
+	if tuples > math.MaxInt64/per {
 		return math.MaxInt64
 	}
 	return int64(tuples * per)

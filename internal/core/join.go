@@ -168,8 +168,14 @@ func EnumerateJoin(ix *Index, cut int, ctl RunControl, ctr *Counters, stats *Joi
 // emission order differs). It returns true when the run completed (no
 // stop/limit) and fills stats — also on early stops — when non-nil.
 func EnumerateJoinSide(ix *Index, cut int, side BuildSide, ctl RunControl, ctr *Counters, stats *JoinStats) (bool, error) {
-	return enumerateJoin(ix, cut, side, 1, ctl, ctl, ctr, stats)
+	return enumerateJoin(ix, cut, side, 1, 0, ctl, ctl, ctr, stats)
 }
+
+// buildReserveMax is the largest build side allocated up front from an
+// estimate, in int32s (64 MB). Past it — a saturated estimate, a forced join
+// on an enormous query — storage grows by append as the build proceeds, so a
+// stop hook still ends the run before the memory is committed.
+const buildReserveMax = 1 << 24
 
 // enumerateJoin is the one join driver: build once on the calling
 // goroutine, then probe from the probe roots — on the builder itself when
@@ -178,7 +184,10 @@ func EnumerateJoinSide(ix *Index, cut int, side BuildSide, ctl RunControl, ctr *
 // contract by runShards. The sequential join is the one-shard case, and
 // solo is where the two public entry points differ: EnumerateJoinSide hands
 // Emit its reused buffer, EnumerateJoinSideParallel a fresh slice per path.
-func enumerateJoin(ix *Index, cut int, side BuildSide, parallelism int, ctl, solo RunControl, ctr *Counters, stats *JoinStats) (bool, error) {
+// buildWalks, when the caller holds an estimate, is the number of walks the
+// build side will hold (or an upper bound; 0 = unknown): its storage is then
+// allocated once instead of grown.
+func enumerateJoin(ix *Index, cut int, side BuildSide, parallelism int, buildWalks uint64, ctl, solo RunControl, ctr *Counters, stats *JoinStats) (bool, error) {
 	if ctr == nil {
 		ctr = &Counters{}
 	}
@@ -192,6 +201,9 @@ func enumerateJoin(ix *Index, cut int, side BuildSide, parallelism int, ctl, sol
 		side = FullEstimate(ix).BuildSideAt(cut)
 	}
 	je := newJoinEnumerator(ix, cut, side == BuildLeft, &solo, ctr)
+	if buildWalks <= buildReserveMax/uint64(je.buildLen) {
+		je.tuples = make([]int32, 0, int(buildWalks)*je.buildLen)
+	}
 	probers := []*joinEnumerator{je}
 	if stats != nil {
 		defer func() { je.fill(stats, probers) }()
@@ -361,6 +373,12 @@ func (je *joinEnumerator) emitJoined() {
 			left, right = probe, left[1:]
 		}
 		je.vepoch++
+		if je.vepoch == 0 {
+			// 2^32 candidates later the epoch is back at seen's zero value,
+			// and after it come the stamps of the first lap: start over.
+			clear(je.seen)
+			je.vepoch = 1
+		}
 		if path, ok := je.joinPath(left, right); ok {
 			je.ctr.Results++
 			if je.ctl.Emit != nil && !je.ctl.Emit(path) {

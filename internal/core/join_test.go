@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -294,6 +295,91 @@ func TestJoinPath(t *testing.T) {
 		path, ok := je.joinPath(c.left, c.right)
 		if ok != (c.want != nil) || !slices.Equal(path, c.want) {
 			t.Errorf("case %d: joinPath(%v, %v) = %v, %v; want %v", i, c.left, c.right, path, ok, c.want)
+		}
+	}
+}
+
+// TestJoinEpochWrap: the validation epoch is an int32 advanced once per
+// joined candidate, so a long run overflows it — harmlessly into the
+// negatives, but 2^32 candidates in it reaches seen's zero value and then
+// the stamps of its first lap. A run started just short of either edge, over
+// a seen array that holds such old stamps, must still produce DFS's path set.
+func TestJoinEpochWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 20; trial++ {
+		n := 8 + rng.Intn(8)
+		g := gen.ErdosRenyi(n, n*4, rng.Int63())
+		q := Query{S: 0, T: graph.VertexID(n - 1), K: 3 + rng.Intn(3)}
+		ix := mustIndex(t, g, q)
+		var want [][]graph.VertexID
+		EnumerateDFS(ix, RunControl{Emit: func(p []graph.VertexID) bool {
+			want = append(want, slices.Clone(p))
+			return true
+		}}, nil)
+		if ix.Empty() {
+			continue
+		}
+		for _, start := range []int32{math.MaxInt32 - 5, -5} {
+			for _, buildLeft := range []bool{true, false} {
+				var got [][]graph.VertexID
+				ctl := RunControl{Emit: func(p []graph.VertexID) bool {
+					got = append(got, slices.Clone(p))
+					return true
+				}}
+				je := newJoinEnumerator(ix, 1+rng.Intn(q.K-1), buildLeft, &ctl, &Counters{})
+				je.vepoch = start
+				for p := range je.seen {
+					je.seen[p] = int32(p%7) + 1 // what the first lap left behind
+				}
+				if !je.build() {
+					t.Fatal("build stopped")
+				}
+				je.probe(je.probeRoots(), 0, 1)
+				if !samePaths(got, want) {
+					t.Fatalf("trial %d, epoch from %d, buildLeft=%v: join %d paths, DFS %d",
+						trial, start, buildLeft, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestJoinBuildReserve pins what sizing the build side from the estimate
+// relies on: Algorithm 5's count at the cut is the number of left walks the
+// build materializes exactly, and an upper bound on the right ones; and a
+// pre-sized run reports the counters and footprint of a grown one.
+func TestJoinBuildReserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(2424))
+	for trial := 0; trial < 40; trial++ {
+		n := 10 + rng.Intn(30)
+		g := gen.ErdosRenyi(n, n*3, rng.Int63())
+		q := Query{S: 0, T: graph.VertexID(n - 1), K: 3 + rng.Intn(4)}
+		ix := mustIndex(t, g, q)
+		if ix.Empty() {
+			continue
+		}
+		est := FullEstimate(ix)
+		for cut := 1; cut < q.K; cut++ {
+			for _, side := range []BuildSide{BuildLeft, BuildRight} {
+				walks, buildLen := est.buildSide(cut, side)
+				var grown, sized JoinStats
+				var gc, sc Counters
+				if _, err := enumerateJoin(ix, cut, side, 1, 0, RunControl{}, RunControl{}, &gc, &grown); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := enumerateJoin(ix, cut, side, 1, walks, RunControl{}, RunControl{}, &sc, &sized); err != nil {
+					t.Fatal(err)
+				}
+				built := uint64(grown.BuildTuples)
+				if side == BuildLeft && walks != built || walks < built {
+					t.Fatalf("trial %d cut %d %v: estimate %d walks of %d vertices, build materialized %d",
+						trial, cut, side, walks, buildLen, built)
+				}
+				grown.BuildTime, grown.ProbeTime, sized.BuildTime, sized.ProbeTime = 0, 0, 0, 0
+				if sized != grown || sc != gc {
+					t.Fatalf("trial %d cut %d %v: pre-sized run %+v %+v, grown run %+v %+v", trial, cut, side, sized, sc, grown, gc)
+				}
+			}
 		}
 	}
 }

@@ -25,20 +25,16 @@ import (
 // results" means n results total, not n per shard. Shards deliver in
 // chunks whose target size doubles from 1 — the first chunk is a single
 // path, preserving time-to-first-path, while steady-state drain amortizes
-// the channel hand-off across parallelChunkMax paths.
+// the channel hand-off across chunkMax paths.
 //
 // Ownership contract: unlike the sequential enumerators' reused Emit
-// slice, every path a parallel entry point hands to Emit is a fresh slice
-// owned by the callee (a shard's buffer cannot be recycled under the
-// consumer's feet once it crosses the merge channel). The sequential
-// fallbacks taken when no fan-out is possible wrap Emit to keep that
-// contract, so callers may rely on it whenever they requested
-// parallelism.
-
-// parallelChunkMax bounds the per-shard emission chunk. Doubling from 1
-// up to this cap keeps the first delivery immediate while making the
-// per-path channel cost negligible on heavy drains.
-const parallelChunkMax = 256
+// slice, every path a parallel entry point hands to Emit is owned by the
+// callee — a capacity-clipped slice of a PathSlab that is never recycled
+// (a shard's buffer cannot be reused under the consumer's feet once it
+// crosses the merge channel), at the cost of one slab allocation per few
+// hundred paths instead of one per path. The sequential fallbacks taken
+// when no fan-out is possible wrap Emit to keep that contract, so callers
+// may rely on it whenever they requested parallelism.
 
 // mergeStopPollInterval is how many merged chunks pass between
 // ShouldStop polls at the merge point. Shards poll their own amortized
@@ -46,19 +42,15 @@ const parallelChunkMax = 256
 // already-produced paths.
 const mergeStopPollInterval = 8
 
-// copyPath returns a fresh copy of p.
-func copyPath(p []graph.VertexID) []graph.VertexID {
-	return append(make([]graph.VertexID, 0, len(p)), p...)
-}
-
 // ownedEmit wraps ctl so a sequential fallback keeps the parallel entry
-// points' ownership contract: every path handed to Emit is a fresh slice.
+// points' ownership contract: every path handed to Emit is the callee's.
 func ownedEmit(ctl RunControl) RunControl {
 	if ctl.Emit == nil {
 		return ctl
 	}
 	emit := ctl.Emit
-	ctl.Emit = func(p []graph.VertexID) bool { return emit(copyPath(p)) }
+	var slab PathSlab
+	ctl.Emit = func(p []graph.VertexID) bool { return emit(slab.Copy(p)) }
 	return ctl
 }
 
@@ -156,6 +148,7 @@ func runShards(nShards int, ctl RunControl, ctr *Counters, run func(shard int, s
 			defer wg.Done()
 			target := 1
 			buf := make([][]graph.VertexID, 0, 1)
+			var slab PathSlab
 			flush := func() bool {
 				if len(buf) == 0 {
 					return true
@@ -165,7 +158,7 @@ func runShards(nShards int, ctl RunControl, ctr *Counters, run func(shard int, s
 				case <-done:
 					return false
 				}
-				if target < parallelChunkMax {
+				if target < chunkMax {
 					target *= 2
 				}
 				buf = make([][]graph.VertexID, 0, target)
@@ -174,7 +167,7 @@ func runShards(nShards int, ctl RunControl, ctr *Counters, run func(shard int, s
 			sctl := RunControl{
 				ShouldStop: stopper,
 				Emit: func(p []graph.VertexID) bool {
-					buf = append(buf, copyPath(p))
+					buf = append(buf, slab.Copy(p))
 					if len(buf) < target {
 						return true
 					}
@@ -283,5 +276,5 @@ func EnumerateDFSParallel(ix *Index, parallelism int, ctl RunControl, ctr *Count
 // handed to Emit are fresh slices owned by the callee, also when nothing
 // fans out and the builder probes alone.
 func EnumerateJoinSideParallel(ix *Index, cut int, side BuildSide, parallelism int, ctl RunControl, ctr *Counters, stats *JoinStats) (bool, error) {
-	return enumerateJoin(ix, cut, side, parallelism, ctl, ownedEmit(ctl), ctr, stats)
+	return enumerateJoin(ix, cut, side, parallelism, 0, ctl, ownedEmit(ctl), ctr, stats)
 }

@@ -23,7 +23,10 @@ import (
 // materialize-then-probe pass, and in unbuffered mode the consumer's
 // backpressure suspends the probe DFS mid-walk between pulls.
 //
-// Two delivery modes share one contract:
+// Two delivery modes, one contract, one adapter. Every yielded path is an
+// owned copy cut from a PathSlab — no allocation per path (unlike Emit's
+// reused slice, streamed paths outlive the enumeration step that produced
+// them by design).
 //
 //   - Unbuffered (StreamConfig.Buffer == 0): the enumeration runs inside
 //     the consumer's goroutine and is *suspended* at every yield —
@@ -31,16 +34,12 @@ import (
 //     iterations no enumeration work happens, so a consumer that stops
 //     pulling stops the query (perfect backpressure), and breaking out of
 //     the loop terminates enumeration immediately via Emit's stop path.
-//   - Buffered (Buffer > 0): the enumeration runs in a producer goroutine
-//     feeding a channel of capacity Buffer, so it can run at most Buffer
-//     paths ahead of the consumer — bounded pipelining for consumers with
-//     per-item latency (an NDJSON flush, a network write). Abandoning the
-//     loop cancels the producer and the stream does not return until it
-//     has fully stopped, so session buffers are never shared.
-//
-// In both modes every yielded path is a fresh copy owned by the consumer
-// (unlike Emit's reused slice): streamed paths outlive the enumeration
-// step that produced them by design.
+//   - Buffered (Buffer > 0): the unbuffered stream run through Chunked —
+//     a producer goroutine handing over []path chunks that grow only while
+//     the consumer is busy — and flattened again, so the enumeration runs
+//     at most one chunk of min(Buffer, chunkMax) paths ahead. Abandoning
+//     the loop cancels the producer and the stream does not return until
+//     it has fully stopped, so session buffers are never shared.
 type StreamConfig struct {
 	// Fwd / Bwd optionally substitute precomputed distance labelings for
 	// either BFS pass, with Session.RunShared's compatibility contract.
@@ -54,7 +53,8 @@ type StreamConfig struct {
 	Constraints *Constraints
 	// Buffer selects the delivery mode: 0 streams synchronously with the
 	// enumeration suspended between pulls; > 0 lets a producer goroutine
-	// run up to Buffer paths ahead.
+	// run ahead by one chunk of up to min(Buffer, chunkMax) paths (see
+	// Chunked) — run-ahead is bounded in whole chunks, not single paths.
 	Buffer int
 	// OnResult, when non-nil, receives the final Result exactly once,
 	// after enumeration finishes and before the stream ends — including
@@ -86,14 +86,16 @@ type RunObserver interface {
 // Stream returns a lazy path stream for q: nothing runs until the first
 // pull. Each iteration yields one result path (a fresh slice owned by the
 // consumer) or a terminal error (invalid query, incompatible frontier,
-// stale oracle); after an error the stream ends. Context cancellation and
-// deadlines mirror RunContext: cancellation mid-run stops the enumeration
-// early without an error — the partial delivery is the answer, and
-// OnResult reports Completed == false — while a context already done
-// before the run starts surfaces its error as the terminal yield (no
-// work happens). Options.Emit and Options.Limit keep their meaning
-// except that Emit is replaced by the yield (a configured Emit is
-// ignored).
+// stale oracle); after an error the stream ends. Paths are cut from shared
+// slabs of at most slabMax vertices, capacity-clipped so an append cannot
+// reach a neighbour; retaining one path keeps its slab (≤ 8 KB) alive.
+// Context cancellation and deadlines mirror RunContext: cancellation
+// mid-run stops the enumeration early without an error — the partial
+// delivery is the answer, and OnResult reports Completed == false — while
+// a context already done before the run starts surfaces its error as the
+// terminal yield (no work happens). Options.Emit and Options.Limit keep
+// their meaning except that Emit is replaced by the yield (a configured
+// Emit is ignored).
 //
 // The session's buffers are in use until the iteration ends; like every
 // other Session entry point, only one run may be active at a time.
@@ -109,21 +111,51 @@ func (s *Session) StreamWith(ctx context.Context, q Query, opts Options, sc Stre
 		opts.Emit = emit
 		return s.ex.executeShared(ctx, q, opts, sc.Fwd, sc.Bwd, sc.Constraints)
 	}
-	// A parallel run already hands over fresh slices (the parallel
-	// ownership contract), so the stream skips its defensive per-path
-	// copy — the merge-side copy is the only one paid.
+	// A parallel run already hands over slab-owned slices (the parallel
+	// ownership contract), so the stream skips its own copy — the
+	// merge-side copy is the only one paid.
 	return makeStream(ctx, sc, run, opts.Parallelism > 1 && sc.Constraints == nil)
+}
+
+// slabMax is the largest slab a PathSlab allocates, in vertices (8 KB):
+// big enough that a heavy stream allocates once per few hundred paths,
+// small enough that a consumer retaining one path pins little.
+const slabMax = 2048
+
+// PathSlab hands out owned copies of paths without an allocation per
+// path: a path is copied into the tail of the current slab and returned as
+// a capacity-clipped slice of it, so appending to one path cannot reach
+// its neighbour. Slabs double from one path's worth up to slabMax vertices
+// — a query with a handful of results never pays for a full slab — and are
+// never reused: a full slab is simply dropped, and lives as long as any
+// path cut from it. The zero value is ready to use.
+type PathSlab struct {
+	free []graph.VertexID // unused tail of the current slab
+	size int              // length the current slab was allocated with
+}
+
+// Copy returns a copy of p that the caller owns.
+func (s *PathSlab) Copy(p []graph.VertexID) []graph.VertexID {
+	n := len(p)
+	if n > len(s.free) {
+		s.size = max(n, min(2*s.size, slabMax))
+		s.free = make([]graph.VertexID, s.size)
+	}
+	out := s.free[:n:n]
+	copy(out, p)
+	s.free = s.free[n:]
+	return out
 }
 
 // streamState is the per-stream mutable state shared between the emit
 // closure and the stream body — one struct so the closure capture costs a
 // single heap cell. firstNs needs no atomic: emit and the post-run stamp
-// always execute on the same goroutine (the consumer's in unbuffered
-// mode, the producer's in buffered mode).
+// always execute on the same goroutine.
 type streamState struct {
 	abandoned bool
 	began     time.Time
 	firstNs   int64
+	slab      PathSlab
 }
 
 // noteFirst stamps the first-path latency on the first emit.
@@ -147,16 +179,35 @@ func (st *streamState) settle(res *Result, obs RunObserver, onResult func(*Resul
 	}
 }
 
+// pathSeq is the element-wise stream type every layer passes around.
+type pathSeq = iter.Seq2[[]graph.VertexID, error]
+
 // makeStream builds the iterator over any push-mode runner. run must
 // execute the query, delivering each path to emit (reused-slice Emit
 // semantics, unless owned declares the runner already hands over fresh
 // slices — the parallel enumerators' contract) and honoring emit's false
 // return as an immediate stop; it observes the context it is passed,
-// which in buffered mode is a child of the caller's that the stream
-// cancels when the consumer leaves early.
-func makeStream(ctx context.Context, sc StreamConfig, run func(context.Context, func([]graph.VertexID) bool) (*Result, error), owned bool) iter.Seq2[[]graph.VertexID, error] {
-	if sc.Buffer > 0 {
-		return bufferedStream(ctx, sc, run, owned)
+// which in buffered mode is a child of the caller's that Chunked cancels
+// when the consumer leaves early.
+func makeStream(ctx context.Context, sc StreamConfig, run func(context.Context, func([]graph.VertexID) bool) (*Result, error), owned bool) pathSeq {
+	if buffer := sc.Buffer; buffer > 0 {
+		sc.Buffer = 0
+		chunks := Chunked(ctx, buffer, func(pctx context.Context) pathSeq {
+			return makeStream(pctx, sc, run, owned)
+		})
+		return func(yield func([]graph.VertexID, error) bool) {
+			for chunk, err := range chunks {
+				if err != nil {
+					yield(nil, err)
+					return
+				}
+				for _, p := range chunk {
+					if !yield(p, nil) {
+						return
+					}
+				}
+			}
+		}
 	}
 	// Hoisted so the returned closure captures three scalars, not the
 	// whole StreamConfig (with its frontier pointers).
@@ -169,7 +220,7 @@ func makeStream(ctx context.Context, sc StreamConfig, run func(context.Context, 
 		res, err := run(ctx, func(p []graph.VertexID) bool {
 			st.noteFirst()
 			if !owned {
-				p = append([]graph.VertexID(nil), p...)
+				p = st.slab.Copy(p)
 			}
 			if !yield(p, nil) {
 				st.abandoned = true
@@ -187,61 +238,83 @@ func makeStream(ctx context.Context, sc StreamConfig, run func(context.Context, 
 	}
 }
 
-// streamItem is one delivery slot of the buffered mode: a path or a
-// terminal error, never both.
-type streamItem struct {
-	path []graph.VertexID
-	err  error
-}
+// chunkMax caps a hand-off between goroutines — a Chunked chunk, a
+// parallel shard's delivery — at the size where the per-path share of the
+// channel operation is negligible.
+const chunkMax = 256
 
-// bufferedStream runs the enumeration in a producer goroutine at most
-// `buffer` paths ahead of the consumer. The iterator never returns while
-// the producer is live: leaving the loop early cancels the producer's
-// context and drains until it has exited, so the caller may safely reuse
-// the session (or return it to a pool) as soon as the range ends.
-func bufferedStream(ctx context.Context, sc StreamConfig, run func(context.Context, func([]graph.VertexID) bool) (*Result, error), owned bool) iter.Seq2[[]graph.VertexID, error] {
-	onResult, observer, began, buffer := sc.OnResult, sc.Observer, sc.Began, sc.Buffer
-	return func(yield func([]graph.VertexID, error) bool) {
+// Chunked is the one producer/consumer adapter: it runs the stream open
+// returns in a producer goroutine and yields its paths in chunks of at
+// most min(limit, chunkMax). Chunks form only under backpressure — after
+// every path the producer offers what it holds without blocking, so an
+// idle consumer receives each path the moment it exists (a chunk of one:
+// no timer, a trickling enumeration is never held back), while a busy
+// consumer lets the chunk grow to the cap before the producer blocks. A
+// terminal error of the inner stream is yielded last, with a nil chunk.
+//
+// A chunk is valid until the next iteration; the paths in it stay the
+// consumer's. open receives a child of ctx that is cancelled when the
+// consumer leaves early, and the iterator does not return before the
+// producer has exited — whoever owns the inner stream's resources (a
+// pooled session) may release them as soon as the range ends. Whatever the
+// inner stream calls back (OnResult, an observer) runs on the producer
+// goroutine.
+func Chunked(ctx context.Context, limit int, open func(context.Context) pathSeq) iter.Seq2[[][]graph.VertexID, error] {
+	limit = max(1, min(limit, chunkMax))
+	return func(yield func([][]graph.VertexID, error) bool) {
 		pctx, cancel := context.WithCancel(ctx)
-		ch := make(chan streamItem, buffer)
-		st := streamState{began: began}
-		if st.began.IsZero() {
-			st.began = time.Now()
-		}
+		ch := make(chan [][]graph.VertexID)
+		quit := make(chan struct{}) // closed when the consumer leaves
+		var perr error              // written before close(ch), read after it
 		go func() {
 			defer close(ch)
-			res, err := run(pctx, func(p []graph.VertexID) bool {
-				st.noteFirst()
-				if !owned {
-					p = append([]graph.VertexID(nil), p...)
+			// ch is unbuffered: a send completes when the consumer comes back
+			// for more, finished with the previous chunk — so two backing
+			// arrays alternate and a stream allocates no chunk per hand-off.
+			var chunk, spare [][]graph.VertexID
+			for p, err := range open(pctx) {
+				if err != nil {
+					perr = err
+					return
+				}
+				chunk = append(chunk, p)
+				if len(chunk) < limit {
+					select {
+					case ch <- chunk:
+						chunk, spare = spare[:0], chunk
+					default:
+					}
+					continue
 				}
 				select {
-				case ch <- streamItem{path: p}:
-					return true
-				case <-pctx.Done():
-					return false
+				case ch <- chunk:
+					chunk, spare = spare[:0], chunk
+				case <-quit:
+					return
 				}
-			})
-			if err != nil {
-				select {
-				case ch <- streamItem{err: err}:
-				case <-pctx.Done():
-				}
-				return
 			}
-			st.settle(res, observer, onResult)
+			if len(chunk) > 0 {
+				select {
+				case ch <- chunk:
+				case <-quit:
+				}
+			}
 		}()
 		// Whatever path exits the loop, stop the producer and wait for the
 		// channel to close before returning the iteration.
 		defer func() {
+			close(quit)
 			cancel()
 			for range ch { //nolint:revive // drain until the producer exits
 			}
 		}()
-		for it := range ch {
-			if !yield(it.path, it.err) || it.err != nil {
+		for chunk := range ch {
+			if !yield(chunk, nil) {
 				return
 			}
+		}
+		if perr != nil {
+			yield(nil, perr)
 		}
 	}
 }

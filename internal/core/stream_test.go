@@ -6,7 +6,9 @@ import (
 	"iter"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,26 +140,70 @@ func TestStreamFirstPathBeforeCompletion(t *testing.T) {
 }
 
 // TestStreamYieldsOwnedCopies: unlike Emit's reused buffer, yielded paths
-// must stay valid after the iteration advances.
+// are the consumer's — they stay valid after the iteration advances, and
+// although they are cut from shared slabs, appending to one cannot reach the
+// path cut after it. Every producer of slab paths is covered (the stream's
+// own copy, the parallel shards', the sequential fallback's) across both
+// delivery modes, on a result set that fills dozens of slabs.
 func TestStreamYieldsOwnedCopies(t *testing.T) {
-	g, q := layeredGraph(t, 3, 3)
+	g, q := layeredGraph(t, 15, 4) // 15^4 = 50625 paths
 	sess := NewSession(g, nil)
-	var kept [][]graph.VertexID
-	for p, err := range sess.Stream(context.Background(), q, Options{}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		kept = append(kept, p)
+	var want []string
+	if _, err := sess.Run(q, Options{Emit: func(p []graph.VertexID) bool {
+		want = append(want, pathKey(p))
+		return true
+	}}); err != nil {
+		t.Fatal(err)
 	}
-	seen := make(map[string]bool, len(kept))
-	for _, p := range kept {
-		if p[0] != q.S || p[len(p)-1] != q.T {
-			t.Fatalf("retained path %v corrupted (endpoints)", p)
+	sort.Strings(want)
+	for _, method := range []Method{MethodDFS, MethodJoin} {
+		for _, par := range []int{0, 2} {
+			for _, buffer := range []int{0, 1, 64} {
+				var kept [][]graph.VertexID
+				for p, err := range sess.StreamWith(context.Background(), q, Options{Method: method, Parallelism: par}, StreamConfig{Buffer: buffer}) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					kept = append(kept, p)
+				}
+				for i := 0; i < len(kept); i += 7 {
+					_ = append(kept[i], -1, -1) // must reallocate, not overwrite a neighbour
+				}
+				got := make([]string, len(kept))
+				for i, p := range kept {
+					got[i] = pathKey(p)
+				}
+				sort.Strings(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v parallelism=%d buffer=%d: %d retained paths differ from the %d emitted",
+						method, par, buffer, len(got), len(want))
+				}
+			}
 		}
-		seen[pathKey(p)] = true
 	}
-	if len(seen) != len(kept) {
-		t.Fatalf("retained paths collapsed: %d unique of %d (buffer reuse leaked)", len(seen), len(kept))
+}
+
+// TestPathSlab: slabs grow from one path's worth to slabMax and no further,
+// and every copy is capacity-clipped.
+func TestPathSlab(t *testing.T) {
+	var slab PathSlab
+	p := []graph.VertexID{1, 2, 3}
+	sizes := map[int]bool{}
+	for i := 0; i < 4*slabMax; i++ {
+		p[1] = graph.VertexID(i)
+		c := slab.Copy(p)
+		if !slices.Equal(c, p) || cap(c) != len(p) {
+			t.Fatalf("copy %d = %v (cap %d), want %v clipped", i, c, cap(c), p)
+		}
+		sizes[slab.size] = true
+	}
+	for _, want := range []int{3, 6, 12, 1536, slabMax} {
+		if !sizes[want] {
+			t.Errorf("no slab of %d vertices among %v", want, sizes)
+		}
+	}
+	if len(sizes) != 11 { // 3·2^0 … 3·2^9, then slabMax
+		t.Errorf("%d slab sizes %v, want 11", len(sizes), sizes)
 	}
 }
 
@@ -429,6 +475,94 @@ func TestStreamJoinBufferedNoGoroutineLeak(t *testing.T) {
 	}
 	if now := runtime.NumGoroutine(); now > before {
 		t.Fatalf("%d goroutines after abandoned buffered join streams, was %d", now, before)
+	}
+}
+
+// TestChunkedIdleConsumer: chunks form only under backpressure. A per-edge
+// function that sleeps 5 ms makes the enumeration trickle; the consumer does
+// nothing between pulls, so every path must arrive alone and before the
+// next one exists — no chunk fills first, no timer holds a path back.
+func TestChunkedIdleConsumer(t *testing.T) {
+	g, q := layeredGraph(t, 2, 2) // 4 paths, 3 edges each
+	sess := NewSession(g, nil)
+	cons := &Constraints{Accumulate: &Accumulator{
+		Value:   func(_, _ graph.VertexID) float64 { time.Sleep(5 * time.Millisecond); return 1 },
+		Combine: func(a, b float64) float64 { return a + b },
+		Accept:  func(float64) bool { return true },
+	}}
+	var produced atomic.Int64
+	chunks := Chunked(context.Background(), 64, func(ctx context.Context) pathSeq {
+		inner := sess.StreamWith(ctx, q, Options{}, StreamConfig{Constraints: cons})
+		return func(yield func([]graph.VertexID, error) bool) {
+			for p, err := range inner {
+				produced.Add(1)
+				if !yield(p, err) {
+					return
+				}
+			}
+		}
+	})
+	delivered := int64(0)
+	for chunk, err := range chunks {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunk) != 1 {
+			t.Fatalf("chunk of %d paths reached an idle consumer, want each path alone", len(chunk))
+		}
+		delivered++
+		if n := produced.Load(); n != delivered {
+			t.Fatalf("path %d arrived when %d had been produced", delivered, n)
+		}
+	}
+	if delivered != 4 {
+		t.Fatalf("delivered %d paths, want 4", delivered)
+	}
+}
+
+// TestChunkedBusyConsumer: while the consumer is busy the producer runs at
+// most one chunk ahead and chunks never exceed the cap — min(limit, chunkMax)
+// — and every path arrives exactly once, in order.
+func TestChunkedBusyConsumer(t *testing.T) {
+	const total = 5000
+	for _, tc := range []struct{ limit, maxChunk int }{{1, 1}, {7, 7}, {100000, chunkMax}} {
+		var produced atomic.Int64
+		chunks := Chunked(context.Background(), tc.limit, func(context.Context) pathSeq {
+			return func(yield func([]graph.VertexID, error) bool) {
+				for i := 0; i < total; i++ {
+					produced.Add(1)
+					if !yield([]graph.VertexID{graph.VertexID(i)}, nil) {
+						return
+					}
+				}
+			}
+		})
+		next, largest := 0, 0
+		for chunk, err := range chunks {
+			if err != nil {
+				t.Fatal(err)
+			}
+			largest = max(largest, len(chunk))
+			for _, p := range chunk {
+				if int(p[0]) != next {
+					t.Fatalf("limit %d: got path %d, want %d", tc.limit, p[0], next)
+				}
+				next++
+			}
+			// One chunk is in the consumer's hands, at most one more is filling.
+			if ahead := int(produced.Load()) - next; ahead > tc.maxChunk {
+				t.Fatalf("limit %d: producer %d paths ahead, cap %d", tc.limit, ahead, tc.maxChunk)
+			}
+			if next%64 == 0 {
+				time.Sleep(100 * time.Microsecond) // a consumer with per-chunk latency
+			}
+		}
+		if next != total || largest > tc.maxChunk {
+			t.Fatalf("limit %d: %d paths, largest chunk %d (cap %d)", tc.limit, next, largest, tc.maxChunk)
+		}
+		if tc.limit > 1 && largest == 1 {
+			t.Fatalf("limit %d: a busy consumer never received more than one path at once", tc.limit)
+		}
 	}
 }
 

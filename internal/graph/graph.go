@@ -319,21 +319,31 @@ func mergeChunks(chunks []adjChunk, add []Edge) ([]adjChunk, error) {
 }
 
 // merge returns a new chunk listing c's edges and add's, which all start
-// in c and arrive sorted by (From, To).
+// in c and arrive sorted by (From, To). One pass over the insertions: the
+// run of old targets between two consecutive insertion points moves with a
+// single copy, and a vertex's offset is its old one plus the edges inserted
+// before it — the cost is the chunk's bytes, not an append per vertex.
 func (c adjChunk) merge(add []Edge) adjChunk {
 	off := new([chunkSize + 1]int32)
-	tgt := make([]VertexID, 0, len(c.tgt)+len(add))
-	for i := range VertexID(chunkSize) {
-		off[i] = int32(len(tgt))
-		old := c.tgt[c.off[i]:c.off[i+1]]
-		for ; len(add) > 0 && add[0].From&chunkMask == i; add = add[1:] {
-			k, _ := slices.BinarySearch(old, add[0].To)
-			tgt = append(append(tgt, old[:k]...), add[0].To)
-			old = old[k:]
+	tgt := make([]VertexID, len(c.tgt)+len(add))
+	src := int32(0)  // old targets before src are already in tgt
+	v := VertexID(0) // vertices before v already have their offset
+	for j, e := range add {
+		i := e.From & chunkMask
+		for ; v <= i; v++ {
+			off[v] = c.off[v] + int32(j)
 		}
-		tgt = append(tgt, old...)
+		lo := max(src, c.off[i])
+		k, _ := slices.BinarySearch(c.tgt[lo:c.off[i+1]], e.To)
+		at := lo + int32(k)
+		copy(tgt[int(src)+j:], c.tgt[src:at])
+		tgt[int(at)+j] = e.To
+		src = at
 	}
-	off[chunkSize] = int32(len(tgt))
+	copy(tgt[int(src)+len(add):], c.tgt[src:])
+	for ; v <= chunkSize; v++ {
+		off[v] = c.off[v] + int32(len(add))
+	}
 	return adjChunk{off: off, tgt: tgt}
 }
 

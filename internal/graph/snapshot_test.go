@@ -174,6 +174,50 @@ func TestSnapshotChainDifferential(t *testing.T) {
 	}
 }
 
+// TestWithEdgesMergePositions pins the chunk merge where its bookkeeping
+// can slip: several edges landing on one vertex (before, between and after
+// its old targets), on the first and the last vertex of a chunk, in an empty
+// chunk, and in two chunks at once.
+func TestWithEdgesMergePositions(t *testing.T) {
+	const n = 2*chunkSize + 5
+	const last = chunkSize - 1
+	base := edgeModel{
+		{0, 10}: {}, {0, 20}: {}, {5, 7}: {}, {5, 9}: {}, {5, 30}: {},
+		{last, 3}: {}, {last, chunkSize}: {}, {chunkSize, 1}: {},
+	}
+	cases := map[string][]Edge{
+		"one vertex, before between and after": {{5, 1}, {5, 8}, {5, 10}, {5, 29}, {5, 31}, {5, n - 1}},
+		"first vertex of the chunk":            {{0, 1}, {0, 15}, {0, 25}},
+		"last vertex of the chunk":             {{last, 0}, {last, 4}, {last, n - 1}},
+		"first and last together":              {{0, 15}, {last, 4}},
+		"a vertex with no edges yet":           {{6, 5}, {6, 7}, {4, 0}},
+		"empty chunk":                          {{2 * chunkSize, 0}, {2*chunkSize + 4, 1}, {2*chunkSize + 4, 2}},
+		"two chunks and duplicates":            {{5, 8}, {5, 8}, {5, 7}, {chunkSize, 0}, {chunkSize, 2}, {chunkSize + 1, 5}},
+		"every vertex of the chunk":            nil, // filled below
+	}
+	for v := VertexID(0); v < chunkSize; v++ {
+		cases["every vertex of the chunk"] = append(cases["every vertex of the chunk"], Edge{v, 2 * chunkSize})
+	}
+	g := base.graph(t, n)
+	for name, add := range cases {
+		t.Run(name, func(t *testing.T) {
+			got, err := g.WithEdges(add)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model := edgeModel{}
+			for e := range base {
+				model[e] = struct{}{}
+			}
+			for _, e := range add {
+				model[e] = struct{}{}
+			}
+			requireSameGraph(t, got, model.graph(t, n))
+			requireSameGraph(t, g, base.graph(t, n)) // the receiver is untouched
+		})
+	}
+}
+
 func FuzzSnapshotChain(f *testing.F) {
 	f.Add(uint8(0), uint16(0), int64(1), []byte{3, 0, 1, 0, 1})
 	f.Add(uint8(1), uint16(3), int64(2), []byte{3, 0, 1, 0, 1, 1, 0, 1, 0, 0})

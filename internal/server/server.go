@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"pathenum"
+	"pathenum/internal/core"
 )
 
 // Engine is the query/write surface the HTTP layer serves. Both
@@ -180,10 +181,12 @@ func (s *Server) Handler() http.Handler {
 // line, flushed as produced.
 const ndjsonContentType = "application/x-ndjson"
 
-// streamBuffer is how far enumeration may run ahead of the HTTP write on
-// the streaming endpoints (Request.Buffer): enough to hide per-line
-// encode/flush latency without buffering a result set.
-const streamBuffer = 32
+// streamBuffer caps the chunk of paths /paths encodes, writes and flushes
+// at once — how far enumeration may run ahead of the HTTP write. Chunks
+// only form while a write is in flight (core.Chunked), so the cap trades
+// nothing against first-line latency: it is sized to make the flush
+// syscall's share of a heavy stream negligible.
+const streamBuffer = 256
 
 // handleHealth is the liveness probe: the process is up and the handler
 // loop runs. Readiness (should this replica receive traffic?) is
@@ -530,10 +533,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// pathLine is one NDJSON line of POST /paths: a single result path in the
-// input file's vertex ids.
-type pathLine struct {
-	Path []int64 `json:"path"`
+// appendPathLine appends one NDJSON line of POST /paths — a single result
+// path in the input file's vertex ids, {"path":[1,2,3]} — byte for byte
+// what encoding/json writes for struct{ Path []int64 `json:"path"` }.
+func (s *Server) appendPathLine(b []byte, p pathenum.Path) []byte {
+	b = append(b, `{"path":[`...)
+	for i, v := range p {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, s.raw(v), 10)
+	}
+	return append(b, "]}\n"...)
 }
 
 // doneLine is the trailing NDJSON line of POST /paths: the run summary a
@@ -547,13 +558,18 @@ type doneLine struct {
 	Millis    float64 `json:"ms"`
 }
 
-// handlePaths streams result paths as NDJSON with per-path flush: the
-// first line reaches the client while enumeration is still running, and a
-// client disconnect cancels the enumeration through the request context —
-// the streaming face of /query. The body is the /query wire format (the
-// "paths" flag is implied); the final line is a {"done":true,...} summary.
-// Unlike /query, results are not capped at the server's maxPaths: delivery
-// is incremental, so the client bounds the response with "limit" or by
+// handlePaths streams result paths as NDJSON: the first line reaches the
+// client while enumeration is still running, and a client disconnect
+// cancels the enumeration through the request context — the streaming face
+// of /query. The enumeration runs in a producer goroutine (core.Chunked
+// around the engine's unbuffered stream) and every chunk it hands over is
+// encoded into one reused buffer and costs one Write and one Flush: a
+// chunk of one while this loop is idle — the first line, or a trickling
+// enumeration, leaves immediately — and up to streamBuffer paths while a
+// write is in flight. The body is the /query wire format (the "paths" flag
+// is implied); the final line is a {"done":true,...} summary. Unlike
+// /query, results are not capped at the server's maxPaths: delivery is
+// incremental, so the client bounds the response with "limit" or by
 // closing the connection.
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
@@ -576,15 +592,19 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	sreq.Limit = opts.Limit
 	sreq.Timeout = opts.Timeout
 	sreq.Parallelism = opts.Parallelism
-	sreq.Buffer = streamBuffer
+	// Set on the producer goroutine, read after the range ends — which
+	// Chunked orders after the producer's exit.
 	var sum *pathenum.Result
 	sreq.OnResult = func(res *pathenum.Result) { sum = res }
 
 	start := time.Now()
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	wrote := false
-	for p, serr := range s.engine.Stream(r.Context(), sreq) {
+	var buf []byte
+	chunks := core.Chunked(r.Context(), streamBuffer, func(ctx context.Context) iter.Seq2[pathenum.Path, error] {
+		return s.engine.Stream(ctx, sreq)
+	})
+	for chunk, serr := range chunks {
 		if serr != nil {
 			// Terminal errors surface before any path: pre-stream they are
 			// a clean 400; mid-stream (not reachable today) they become a
@@ -592,7 +612,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 			if !wrote {
 				httpError(w, http.StatusBadRequest, "query failed: %v", serr)
 			} else {
-				_ = enc.Encode(map[string]string{"error": serr.Error()})
+				_ = json.NewEncoder(w).Encode(map[string]string{"error": serr.Error()})
 			}
 			return
 		}
@@ -600,7 +620,11 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", ndjsonContentType)
 			wrote = true
 		}
-		if err := enc.Encode(pathLine{Path: s.rawPath(p)}); err != nil {
+		buf = buf[:0]
+		for _, p := range chunk {
+			buf = s.appendPathLine(buf, p)
+		}
+		if _, err := w.Write(buf); err != nil {
 			return // client went away; the context cancels the enumeration
 		}
 		if flusher != nil {
@@ -618,7 +642,7 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		line.Cut = sum.Plan.Cut
 		annotate(r, line.Plan, line.Count)
 	}
-	_ = enc.Encode(line)
+	_ = json.NewEncoder(w).Encode(line)
 	if flusher != nil {
 		flusher.Flush()
 	}

@@ -2,8 +2,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -543,6 +546,84 @@ func TestPathsStreamNDJSON(t *testing.T) {
 	if done["plan"] == "" || done["ms"].(float64) < 0 {
 		t.Fatalf("done line missing plan/ms: %v", done)
 	}
+}
+
+// TestPathsWireIdentity: the hand-appended /paths lines are byte for byte
+// what encoding/json writes for the same paths — the encoder left the
+// route, the wire format did not. Checked on the response body itself, over
+// remapped ids that are large, negative and zero (TestQueryRemappedIDs'
+// graph) and over a body long enough to span many chunks.
+func TestPathsWireIdentity(t *testing.T) {
+	type pathLine struct {
+		Path []int64 `json:"path"`
+	}
+	check := func(ts *httptest.Server, body string, wantPaths int) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/paths", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, read error %v", resp.StatusCode, err)
+		}
+		lines := bytes.SplitAfter(got, []byte("\n"))
+		if len(lines) != wantPaths+2 || len(lines[wantPaths+1]) != 0 { // paths, done line, nothing after it
+			t.Fatalf("%d lines in the body, want %d paths and the done line", len(lines)-1, wantPaths)
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		for _, line := range lines[:wantPaths] {
+			var pl pathLine
+			if err := json.Unmarshal(line, &pl); err != nil || len(pl.Path) < 2 {
+				t.Fatalf("path line %q: %v", line, err)
+			}
+			if err := enc.Encode(pl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if head := got[:len(got)-len(lines[wantPaths])]; !bytes.Equal(head, want.Bytes()) {
+			t.Fatalf("path lines differ from json.Encoder's:\n got %q\nwant %q", head, want.Bytes())
+		}
+		var done doneLine
+		if err := json.Unmarshal(lines[wantPaths], &done); err != nil || !done.Done || done.Count != uint64(wantPaths) {
+			t.Fatalf("done line %q: %v", lines[wantPaths], err)
+		}
+	}
+	orig := []int64{math.MinInt64, -7, math.MaxInt64, 0}
+	ts := testServer(t, orig)
+	check(ts, `{"s":-9223372036854775808,"t":0,"k":3}`, 2)
+	// The appender alone, on the ids no request can spell in a float-free way.
+	srv := &Server{orig: orig}
+	var want bytes.Buffer
+	_ = json.NewEncoder(&want).Encode(pathLine{Path: []int64{math.MinInt64, math.MaxInt64, -7, 0}})
+	if got := srv.appendPathLine(nil, pathenum.Path{0, 2, 1, 3}); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("appendPathLine = %q, want %q", got, want.Bytes())
+	}
+	// s -> three full layers of 8 -> t: 512 lines with 5 ids each, several chunks.
+	const width, depth = 8, 3
+	var edges []pathenum.Edge
+	layer := func(l, i int) pathenum.VertexID { return pathenum.VertexID(1 + l*width + i) }
+	for i := 0; i < width; i++ {
+		edges = append(edges, pathenum.Edge{From: 0, To: layer(0, i)}, pathenum.Edge{From: layer(depth-1, i), To: 1 + width*depth})
+		for l := 0; l+1 < depth; l++ {
+			for j := 0; j < width; j++ {
+				edges = append(edges, pathenum.Edge{From: layer(l, i), To: layer(l+1, j)})
+			}
+		}
+	}
+	g, err := pathenum.NewGraph(2+width*depth, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := pathenum.NewEngine(g, pathenum.EngineConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := httptest.NewServer(New(engine, nil, Config{}).Handler())
+	defer big.Close()
+	check(big, `{"s":0,"t":25,"k":4}`, 512)
 }
 
 func jsonNum(t *testing.T, v any) string {

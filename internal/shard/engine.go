@@ -579,15 +579,12 @@ func (e *Engine) runPhased(ctx context.Context, v *view, r route, req pathenum.R
 		}
 	case routeCross:
 		// Phase A: the boundary join over the single-crossing class.
+		var slab core.PathSlab
 		cj := &crossJoin{
 			gA: v.subs[r.a], gB: v.subs[r.b], cuts: v.cuts[r.a][r.b],
 			s: req.S, t: req.T, k: req.K,
 			pred: merged.Predicate, ctx: ctx, deadline: deadline,
-			emit: func(p []graph.VertexID) bool {
-				cp := make(pathenum.Path, len(p))
-				copy(cp, p)
-				return deliver(cp)
-			},
+			emit: func(p []graph.VertexID) bool { return deliver(slab.Copy(p)) },
 		}
 		cj.run()
 		combined.Plan.Method = core.MethodJoin

@@ -11,9 +11,12 @@ import (
 )
 
 // Path is one result path, s to t inclusive. Paths delivered by a stream
-// are fresh slices owned by the consumer — unlike the Options.Emit
-// callback's reused buffer, a streamed path stays valid after the
-// iteration advances.
+// are owned by the consumer — unlike the Options.Emit callback's reused
+// buffer, a streamed path stays valid after the iteration advances. They
+// are not allocated one by one: consecutive paths are cut from shared slabs
+// of at most 8 KB, each path capacity-clipped so appending to it cannot
+// reach its neighbour. A slab is never reused, and lives as long as any
+// path cut from it — retaining one path of a stream pins at most 8 KB.
 type Path = []VertexID
 
 // Request is the streaming-first query surface: one value bundling the
@@ -74,10 +77,12 @@ type Request struct {
 	// Buffer selects the stream delivery mode. 0 (the default) streams
 	// synchronously: enumeration runs in the consumer's goroutine and is
 	// suspended between pulls, so an unhurried consumer applies perfect
-	// backpressure and pays no buffering. A positive Buffer lets a
-	// producer goroutine run up to Buffer paths ahead — bounded
-	// pipelining for consumers with per-item latency such as a network
-	// write.
+	// backpressure and pays no buffering. A positive Buffer moves the
+	// enumeration to a producer goroutine that hands paths over in chunks:
+	// a path goes out at once while the consumer is waiting for it, and
+	// while the consumer is busy the producer runs ahead by at most one
+	// chunk of min(Buffer, 256) paths — bounded pipelining, in whole
+	// chunks, for consumers with per-item latency such as a network write.
 	Buffer int
 	// OnResult, when non-nil, receives the final Result (counts, plan,
 	// timings, Completed) exactly once after enumeration finishes — the
@@ -141,10 +146,11 @@ func Stream(ctx context.Context, g *Graph, req Request) iter.Seq2[Path, error] {
 //
 // Iteration contract:
 //
-//   - Each iteration yields one Path (a fresh slice the consumer owns) or
-//     a terminal error — an invalid query, a stale oracle, a bad
-//     constraint — after which the stream ends. A successful stream
-//     yields no error at all; there is no trailing sentinel.
+//   - Each iteration yields one Path (a slice the consumer owns, cut from
+//     a shared slab — see Path) or a terminal error — an invalid query, a
+//     stale oracle, a bad constraint — after which the stream ends. A
+//     successful stream yields no error at all; there is no trailing
+//     sentinel.
 //   - Breaking out of the loop stops the enumeration immediately and
 //     releases the session; so does cancelling ctx or exceeding
 //     req.Timeout mid-iteration, which end the stream early *without* an

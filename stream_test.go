@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"iter"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pathenum/internal/core"
 	"pathenum/internal/gen"
@@ -183,6 +186,88 @@ func TestEngineStreamError(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("%d iterations, want exactly one error", n)
+	}
+}
+
+// TestChunkedStreamExits: core.Chunked around an engine stream — the shape
+// POST /paths serves, and Buffer > 0 flattens — gives everything back on
+// every way out of the loop: the producer goroutine has exited and the
+// pooled session is returned by the time the range ends, and OnResult fired
+// exactly once (never for a request that failed before running).
+func TestChunkedStreamExits(t *testing.T) {
+	g, q := layeredTestGraph(t, 6, 5) // 7776 paths: still enumerating at every exit
+	e, err := NewEngine(g, EngineConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type exit struct {
+		name    string
+		req     Request
+		results int // OnResult calls expected
+		// body consumes chunk number n (from 1) and reports whether to go on.
+		body func(n int, chunk []Path, err error, cancel context.CancelFunc) bool
+	}
+	exits := []exit{
+		{"break after two chunks", NewRequest(q), 1, func(n int, _ []Path, err error, _ context.CancelFunc) bool {
+			return err == nil && n < 2
+		}},
+		{"context cancelled mid-chunk", NewRequest(q), 1, func(n int, chunk []Path, err error, cancel context.CancelFunc) bool {
+			if n == 2 {
+				cancel()
+			}
+			return err == nil
+		}},
+		{"terminal error first", Request{S: 1, T: 1, K: 3}, 0, func(n int, chunk []Path, err error, _ context.CancelFunc) bool {
+			if n != 1 || chunk != nil || !errors.Is(err, core.ErrSameEndpoints) {
+				t.Errorf("delivery %d = %v, %v; want ErrSameEndpoints alone, first and last", n, chunk, err)
+			}
+			return true
+		}},
+		{"panic in the consumer body", NewRequest(q), 1, func(n int, _ []Path, _ error, _ context.CancelFunc) bool {
+			if n == 2 {
+				panic("consumer failed")
+			}
+			return true
+		}},
+	}
+	before := runtime.NumGoroutine()
+	for _, x := range exits {
+		for _, par := range []int{0, 2} {
+			var results atomic.Int32
+			req := x.req
+			req.Parallelism = par
+			req.OnResult = func(*Result) { results.Add(1) }
+			ctx, cancel := context.WithCancel(context.Background())
+			func() {
+				defer func() {
+					if r := recover(); r != nil && r != "consumer failed" {
+						panic(r)
+					}
+				}()
+				n := 0
+				for chunk, err := range core.Chunked(ctx, 64, func(ctx context.Context) iter.Seq2[Path, error] {
+					return e.Stream(ctx, req)
+				}) {
+					if n++; !x.body(n, chunk, err, cancel) {
+						break
+					}
+				}
+			}()
+			cancel()
+			if ps := e.PoolStats(); ps.InFlightQueries != 0 || ps.InFlightShards != 0 {
+				t.Fatalf("%s, parallelism %d: pool after the range = %+v, want idle", x.name, par, ps)
+			}
+			if got := int(results.Load()); got != x.results {
+				t.Fatalf("%s, parallelism %d: OnResult fired %d times, want %d", x.name, par, got, x.results)
+			}
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		t.Fatalf("%d goroutines after the exits, was %d", now, before)
 	}
 }
 
