@@ -1,7 +1,6 @@
-// Benchmarks for the batch query subsystem: ExecuteBatch (shared-
-// computation planning) against the naive ExecuteAllContext fan-out on the
-// workloads the planner targets. CI uploads these (BENCH_batch.json) for
-// the perf trajectory.
+// Benchmarks for the batch surface: ExecuteBatch (dedup, endpoint order,
+// single-flight frontier fill) against the naive ExecuteAllContext fan-out
+// on shared-endpoint workloads — the standing shared-vs-naive check.
 package pathenum
 
 import (
@@ -40,9 +39,9 @@ func benchBatchEngine(b *testing.B) (*Engine, []Query) {
 	return e, sharedSourceBatch(g, 64, 4, 7)
 }
 
-// BenchmarkBatchSharedSource compares the batch subsystem against the
-// naive fan-out on a 64-query shared-source batch. The shared run reports
-// the planner's BFS-pass accounting; correctness is cross-checked against
+// BenchmarkBatchSharedSource compares ExecuteBatch against the naive
+// fan-out on a 64-query shared-source batch. The shared run reports the
+// batch's BFS-pass accounting; correctness is cross-checked against
 // per-query enumeration before timing starts.
 func BenchmarkBatchSharedSource(b *testing.B) {
 	e, queries := benchBatchEngine(b)
@@ -67,7 +66,7 @@ func BenchmarkBatchSharedSource(b *testing.B) {
 		var saved, passes int
 		for i := 0; i < b.N; i++ {
 			_, _, stats := e.ExecuteBatch(ctx, queries, Options{})
-			saved, passes = stats.BFSPassesSaved, stats.BFSPasses
+			saved, passes = stats.BFSPassesSaved, stats.BFSPassesRun
 		}
 		b.ReportMetric(float64(passes), "bfs-passes")
 		b.ReportMetric(float64(saved), "bfs-saved")
@@ -80,8 +79,8 @@ func BenchmarkBatchSharedSource(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchMixed exercises the planner on a mixed workload with
-// shared-source clusters, shared-target clusters, duplicates and loners.
+// BenchmarkBatchMixed runs a mixed workload with shared-source clusters,
+// shared-target clusters, duplicates and loners.
 func BenchmarkBatchMixed(b *testing.B) {
 	g := gen.BarabasiAlbert(20000, 4, 42)
 	e, err := NewEngine(g, EngineConfig{Workers: 4})

@@ -1,7 +1,6 @@
 // Benchmarks for the cross-batch frontier cache: a repeat shared-hub
 // batch against a cold engine vs a warm one, plus the single-query hot
-// path. CI uploads these (BENCH_cache.json) alongside the batch numbers
-// for the perf trajectory.
+// path.
 package pathenum
 
 import (
@@ -21,7 +20,7 @@ func BenchmarkCacheRepeatHubBatch(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("cold", func(b *testing.B) {
-		// A fresh engine per iteration: every batch plans, builds and
+		// A fresh engine per iteration: every batch builds and
 		// deposits its frontiers.
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()

@@ -11,15 +11,9 @@
 //	benchpath -json parallel            # machine-readable JSON report
 //
 // Experiments: table3 table4 table5 table6 table7 fig6 fig7 fig8 fig9
-// fig10 fig12 fig13 fig16 fig17 fig18 ext batch batch2 cache parallel
-// shard mem
+// fig10 fig12 fig13 fig16 fig17 fig18 ext parallel shard mem
 // (fig10 covers figure 11; fig13 covers figures 14 and 15; ext is this
-// repository's extension ablation; batch compares the shared-computation
-// batch subsystem against the naive per-query fan-out on shared-endpoint
-// workloads; batch2 runs a cold hub-to-hub grid through the two-sided
-// planner — one BFS per distinct endpoint; cache repeats a shared-hub batch to show the second call
-// served from the cross-batch frontier cache with zero BFS passes;
-// parallel sweeps intra-query fan-out —
+// repository's extension ablation; parallel sweeps intra-query fan-out —
 // Options.Parallelism doubling 1, 2, ... up to -parallel — reporting
 // drain speedup and first-path latency per fan-out; shard runs
 // partition-aware intra and cross query classes through the sharded
@@ -68,9 +62,6 @@ var experiments = []struct {
 	{"fig17", func(c bench.Config) (renderable, error) { return bench.Fig17(c) }},
 	{"fig18", func(c bench.Config) (renderable, error) { return bench.Fig18(c) }},
 	{"ext", func(c bench.Config) (renderable, error) { return bench.Extensions(c) }},
-	{"batch", func(c bench.Config) (renderable, error) { return bench.Batch(c) }},
-	{"batch2", func(c bench.Config) (renderable, error) { return bench.BatchTwoSided(c) }},
-	{"cache", func(c bench.Config) (renderable, error) { return bench.Cache(c) }},
 	{"parallel", func(c bench.Config) (renderable, error) { return bench.Parallel(c) }},
 	{"shard", func(c bench.Config) (renderable, error) { return bench.Shard(c) }},
 	{"mem", func(c bench.Config) (renderable, error) { return bench.Mem(c) }},
@@ -84,7 +75,6 @@ func main() {
 		timeLimit = flag.Duration("timelimit", 2*time.Second, "per-query time limit")
 		datasets  = flag.String("datasets", "", "comma-separated dataset subset")
 		seed      = flag.Int64("seed", 42, "workload seed")
-		plan      = flag.String("plan", "auto", "requested plan, recorded in the report's meta block (auto|dfs|join)")
 		parallel  = flag.Int("parallel", 4, "maximum intra-query fan-out for the parallel experiment")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON instead of rendered tables")
 	)
@@ -102,7 +92,6 @@ func main() {
 	cfg.K = *k
 	cfg.TimeLimit = *timeLimit
 	cfg.Seed = *seed
-	cfg.Plan = *plan
 	cfg.Parallel = *parallel
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")

@@ -26,16 +26,17 @@
 // mid-NDJSON-stream. POST /paths is the streaming face of /query
 // (Engine.Stream underneath): paths arrive line by line with per-line
 // flush while enumeration is still running, closed by a {"done":true,...}
-// summary. POST /batch runs the shared-computation batch subsystem —
-// duplicate queries answered once, BFS frontiers shared across queries
-// with a common endpoint — and reports what it saved in the response
-// stats; add "stream":true for NDJSON with per-query flush as groups
-// complete (Engine.StreamBatch), or "naive":true to force the independent
-// per-query fan-out instead. Frontiers survive the batch in the engine's
-// cross-batch cache (size it with -frontier-cache) and single queries
-// both consult and — for hub-grade endpoints — deposit, so a repeat hub
-// is served with zero BFS passes — watch bfsPassesRun and cacheHits in
-// the /batch stats.
+// summary. POST /batch runs Engine.ExecuteBatch — duplicate queries
+// answered once, the rest fanned out in endpoint order over the frontier
+// cache — and its response stats report queries, invalid, unique,
+// deduped, bfsPassesNaive, bfsPassesRun, bfsPassesSaved, cacheHits,
+// cacheMisses and epoch; add "stream":true for NDJSON with per-query
+// flush as executions settle (Engine.StreamBatch), or "naive":true to
+// force the plain per-query fan-out instead. Every surface shares the
+// engine's frontier cache (size it with -frontier-cache): hub-grade
+// endpoints are deposited single-flight on their first miss, so a repeat
+// hub is served with zero BFS passes — watch bfsPassesRun and cacheHits
+// in the /batch stats.
 //
 // -mem-budget caps engine memory (frontier cache + session scratch + join
 // build sides) under one byte budget, e.g. -mem-budget 256MiB: the cache

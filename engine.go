@@ -7,10 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pathenum/internal/batch"
 	"pathenum/internal/cache"
 	"pathenum/internal/core"
-	"pathenum/internal/graph"
 	"pathenum/internal/landmark"
 	"pathenum/internal/mem"
 )
@@ -63,12 +61,10 @@ type EngineConfig struct {
 	// endpoint's degree (out-degree of S for the forward side, in-degree
 	// of T for the backward side) is at least this threshold, so only
 	// hub-grade endpoints — the ones likely to repeat — pay the
-	// deposit's full-ball search and O(|V|) allocation. The check
-	// applies to single queries and to batch per-member sides alike; a
-	// batch side the planner proved shared (two or more members need it)
-	// is admitted regardless of degree — reuse within the batch is
-	// already evidence. 0 uses DefaultCacheAdmitDegree; negative
-	// restricts deposits to planner-proved shared frontiers only.
+	// deposit's full-ball search and O(|V|) allocation. Single queries,
+	// streams and batch members are one path here: a batch's queries are
+	// single queries run side by side. 0 uses DefaultCacheAdmitDegree;
+	// negative disables deposits (WarmCache still deposits).
 	CacheAdmitDegree int
 	// SnapshotEvery batches the engine write path: Engine.Insert publishes
 	// a fresh immutable snapshot only after this many applied insertions,
@@ -131,16 +127,15 @@ const DefaultCacheAdmitDegree = 16
 //
 // The engine owns two cross-query structures keyed by graph version: the
 // optional distance oracle and the frontier cache (an LRU of shared BFS
-// labelings consulted by every surface and deposited behind a
-// degree-based admission check — single queries and batch per-member
-// sides alike, with planner-proved shared frontiers admitted on their
-// batch reuse alone). Dynamic workloads advance the engine either through
-// the engine-owned write path (Insert/Flush: the engine owns the Dynamic,
-// batches publishes per SnapshotEvery and refreshes the oracle per
-// OracleLandmarks on a background single-flight worker) or with
-// caller-built snapshots via UpdateGraph; both bump the graph epoch, so
-// cached frontiers invalidate lazily on lookup — no sweep — and a stale
-// oracle is rebuilt in the background or dropped rather than consulted.
+// labelings consulted by every surface, filled single-flight and deposited
+// behind a degree-based admission check). Dynamic workloads advance the
+// engine either through the engine-owned write path (Insert/Flush: the
+// engine owns the Dynamic, batches publishes per SnapshotEvery and
+// refreshes the oracle per OracleLandmarks on a background single-flight
+// worker) or with caller-built snapshots via UpdateGraph; both bump the
+// graph epoch, so cached frontiers invalidate lazily on lookup — no sweep
+// — and a stale oracle is rebuilt in the background or dropped rather than
+// consulted.
 //
 // The zero Engine is not usable; create one with NewEngine.
 type Engine struct {
@@ -684,11 +679,11 @@ func (e *Engine) Execute(q Query) (*Result, error) {
 // by an earlier batch or query skips that side's search), and on a miss
 // they build and deposit the shareable labeling when the endpoint passes
 // the degree-based admission check (EngineConfig.CacheAdmitDegree), so hot
-// hubs warm the cache without waiting for a batch; below the threshold a
-// miss costs only the query's own budget-bounded labeling. This is the
-// entry point services should use — e.g. an HTTP handler passing the
-// request context gets session buffer reuse, the engine oracle and
-// client-disconnect cancellation in one call.
+// hubs warm the cache on their own; below the threshold a miss costs only
+// the query's own budget-bounded labeling. This is the entry point
+// services should use — e.g. an HTTP handler passing the request context
+// gets session buffer reuse, the engine oracle and client-disconnect
+// cancellation in one call.
 func (e *Engine) ExecuteWith(ctx context.Context, q Query, opts Options) (*Result, error) {
 	e.metrics.requests[opExecute].Inc()
 	start := time.Now()
@@ -706,80 +701,126 @@ func (e *Engine) ExecuteWith(ctx context.Context, q Query, opts Options) (*Resul
 			return userEmit(p)
 		}
 	}
-	defer e.track(merged.Parallelism)()
-	fwd, bwd := e.frontiers(ctx, g, oracle, q, merged)
-	sess := e.session(g, oracle)
-	defer e.sessions.Put(sess)
-	res, err := sess.RunShared(ctx, q, merged, fwd, bwd)
+	res, _, err := e.run(ctx, g, oracle, q, merged)
 	e.metrics.finish(opExecute, res, err, start, firstPath)
 	return res, err
 }
 
+// run is the per-query spine of ExecuteWith and the batch surfaces: the
+// frontier sides from the cache, a pooled session bound to the captured
+// (g, oracle) view, RunShared — counted in the pool gauges while it runs.
+// The caller owns the metrics; use reports what the cache did for the two
+// sides, passes included: frontier builds plus the sides left for the
+// session to label itself.
+func (e *Engine) run(ctx context.Context, g *Graph, oracle DistanceOracle, q Query, merged Options) (*Result, frontierUse, error) {
+	defer e.track(merged.Parallelism)()
+	fwd, bwd, use := e.frontiers(ctx, g, oracle, q, merged)
+	if fwd == nil {
+		use.passes++
+	}
+	if bwd == nil {
+		use.passes++
+	}
+	sess := e.session(g, oracle)
+	defer e.sessions.Put(sess)
+	res, err := sess.RunShared(ctx, q, merged, fwd, bwd)
+	return res, use, err
+}
+
+// frontierUse is what frontiers did for one query's two sides: lookups
+// answered without building (a wait on a concurrent build of the same
+// side included), lookups that were not, and BFS passes run.
+type frontierUse struct {
+	hits, misses, passes int
+}
+
 // frontiers resolves the frontier-cache sides of a single query: consult
-// for both sides, and on a miss whose endpoint passes the degree-based
+// both sides, and on a miss whose endpoint passes the degree-based
 // admission check, build the shareable labeling and deposit it for later
-// queries and batches. The deposit is an investment, not a by-product: the
-// query's own labeling is budget-bounded (it touches what the hop budget
-// can use from both ends), while a shareable labeling is the endpoint's
-// whole k-ball plus an O(|V|) array — and unpruned even with an oracle
-// installed, because shareable labelings cannot bake in per-query pruning.
-// The admission check bets that it amortizes across repeat queries on that
-// hub; the other side of the query then runs restricted against it. A
-// frontier the cache could not hold (cache.Fits: byte bound, shared
-// budget) is not built at all. Opaque predicates (non-nil with a zero
-// token) and invalid queries skip the cache, and no deposit is built for
-// runs that will not enumerate: a context already done, a stale oracle
-// (the run fails with ErrStaleEpoch) or an oracle lower bound proving the
-// query infeasible (the run's zero-BFS fast path). engineOracle is the
-// engine-level oracle captured with g.
-func (e *Engine) frontiers(ctx context.Context, g *Graph, engineOracle DistanceOracle, q Query, opts Options) (fwd, bwd *core.Frontier) {
+// queries — single-flight, so concurrent misses on one hub (a batch
+// sharing a source, a burst of /query traffic) wait for one build. The
+// deposit is an investment, not a by-product: the query's own labeling is
+// budget-bounded (it touches what the hop budget can use from both ends),
+// while a shareable labeling is the endpoint's whole k-ball plus an O(|V|)
+// array — and unpruned even with an oracle installed, because shareable
+// labelings cannot bake in per-query pruning. The admission check bets
+// that it amortizes across repeat queries on that hub; the other side of
+// the query then runs restricted against it. A frontier the cache could
+// not hold (cache.Fits: byte bound, shared budget) is not built at all.
+// Opaque predicates (non-nil with a zero token) and invalid queries skip
+// the cache, and no deposit is built for runs that will not enumerate: a
+// context already done, a stale oracle (the run fails with ErrStaleEpoch)
+// or an oracle lower bound proving the query infeasible (the run's
+// zero-BFS fast path). engineOracle is the engine-level oracle captured
+// with g.
+func (e *Engine) frontiers(ctx context.Context, g *Graph, engineOracle DistanceOracle, q Query, opts Options) (fwd, bwd *core.Frontier, use frontierUse) {
 	if e.cache == nil || (opts.Predicate != nil && opts.PredicateToken == core.PredicateNone) {
-		return nil, nil
+		return nil, nil, use
 	}
 	if q.Validate(g) != nil {
-		return nil, nil // let the session report the error
+		return nil, nil, use // let the session report the error
 	}
-	ver := g.Version()
-	fwd = e.cache.Get(cache.Key{Origin: q.S, Forward: true, Pred: opts.PredicateToken}, q.K, ver)
-	bwd = e.cache.Get(cache.Key{Origin: q.T, Forward: false, Pred: opts.PredicateToken}, q.K, ver)
-	if (fwd != nil && bwd != nil) || ctx.Err() != nil {
-		return fwd, bwd
-	}
+	build := ctx.Err() == nil
 	oracle := opts.Oracle
 	if oracle == nil {
 		oracle = engineOracle
 	}
-	if oracle != nil {
+	if build && oracle != nil {
 		if v, ok := oracle.(core.GraphValidator); ok && v.ValidFor(g) != nil {
-			return fwd, bwd // the run fails on the stale oracle; build nothing
-		}
-		if lb := oracle.LowerBound(q.S, q.T); lb < 0 || int(lb) > q.K {
-			return fwd, bwd // infeasible: the run's fast path does zero BFS
-		}
-	}
-	if fwd == nil && e.admitsDeposit(g, q.S, true) {
-		if f, err := core.NewForwardFrontier(g, q.S, q.K, opts.Predicate, opts.PredicateToken); err == nil {
-			e.cache.Put(f)
-			fwd = f
+			build = false // the run fails on the stale oracle
+		} else if lb := oracle.LowerBound(q.S, q.T); lb < 0 || int(lb) > q.K {
+			build = false // infeasible: the run's fast path does zero BFS
 		}
 	}
-	if bwd == nil && e.admitsDeposit(g, q.T, false) {
-		if f, err := core.NewBackwardFrontier(g, q.T, q.K, opts.Predicate, opts.PredicateToken); err == nil {
-			e.cache.Put(f)
-			bwd = f
-		}
-	}
-	return fwd, bwd
+	fwd = e.frontierSide(g, q.S, true, q.K, opts, build, &use)
+	bwd = e.frontierSide(g, q.T, false, q.K, opts, build, &use)
+	return fwd, bwd, use
 }
 
-// admitsDeposit is the one admission check for a frontier built only to be
-// deposited — a single query's side, or a batch member's side no other
-// member shares: the endpoint's degree in the frontier's direction reaches
-// EngineConfig.CacheAdmitDegree (negative admits nothing), and the cache
-// could hold the labeling at all (cache.Fits: byte bound, shared budget).
-// Callers ask before building, so a deposit Put must refuse is not built.
-func (e *Engine) admitsDeposit(g *Graph, origin VertexID, forward bool) bool {
-	admit := e.admitDegree()
+// frontierSide resolves one side for frontiers: a plain lookup, or — when
+// build is set and the endpoint's degree is admitted — a single-flight
+// lookup-or-build that deposits what it builds.
+func (e *Engine) frontierSide(g *Graph, origin VertexID, forward bool, k int, opts Options, build bool, use *frontierUse) *core.Frontier {
+	key := cache.Key{Origin: origin, Forward: forward, Pred: opts.PredicateToken}
+	var f *core.Frontier
+	built := false
+	if build && e.admitsDegree(g, origin, forward) {
+		f, built = e.cache.GetOrBuild(key, k, g.Version(), func() *core.Frontier {
+			if !e.cache.Fits(core.FrontierBytes(g.NumVertices())) {
+				return nil
+			}
+			newFrontier := core.NewBackwardFrontier
+			if forward {
+				newFrontier = core.NewForwardFrontier
+			}
+			f, err := newFrontier(g, origin, k, opts.Predicate, opts.PredicateToken)
+			if err != nil {
+				return nil
+			}
+			return f
+		})
+	} else {
+		f = e.cache.Get(key, k, g.Version())
+	}
+	if f == nil || built {
+		use.misses++
+	} else {
+		use.hits++
+	}
+	if built {
+		use.passes++
+	}
+	return f
+}
+
+// admitsDegree is the deposit admission check: the endpoint's degree in
+// the frontier's direction reaches EngineConfig.CacheAdmitDegree (negative
+// admits nothing).
+func (e *Engine) admitsDegree(g *Graph, origin VertexID, forward bool) bool {
+	admit := e.cfg.CacheAdmitDegree
+	if admit == 0 {
+		admit = DefaultCacheAdmitDegree
+	}
 	if admit < 0 {
 		return false
 	}
@@ -787,7 +828,7 @@ func (e *Engine) admitsDeposit(g *Graph, origin VertexID, forward bool) bool {
 	if !forward {
 		deg = g.InDegree(origin)
 	}
-	return deg >= admit && e.cache.Fits(core.FrontierBytes(g.NumVertices()))
+	return deg >= admit
 }
 
 // MergeOptions overlays per-call overrides on the engine's default Options:
@@ -841,17 +882,16 @@ func (e *Engine) MergeOptions(opts Options) Options {
 }
 
 // PoolStats snapshots the engine's worker-pool occupancy: the configured
-// worker count, the queries currently executing through the single-query
-// entry points (ExecuteWith, Engine.Stream and the ExecuteAll fan-outs
-// riding on them) and the intra-query parallel enumeration shards those
-// queries have fanned out (Options.Parallelism > 1 counts its full merged
-// fan-out for the duration of the run). ExecuteBatch's scheduler manages
-// its own workers and is not reflected in the query gauge.
+// worker count, the queries currently executing — through ExecuteWith,
+// Engine.Stream, the ExecuteAll fan-outs and each unique query of an
+// ExecuteBatch or StreamBatch alike — and the intra-query parallel
+// enumeration shards those queries have fanned out (Options.Parallelism > 1
+// counts its full merged fan-out for the duration of the run).
 type PoolStats struct {
 	// Workers is EngineConfig.Workers after defaulting.
 	Workers int
-	// InFlightQueries is the number of single-query executions currently
-	// running.
+	// InFlightQueries is the number of query executions currently
+	// running, batch members included.
 	InFlightQueries int
 	// InFlightShards is the number of parallel enumeration shards
 	// currently fanned out by those queries.
@@ -942,101 +982,6 @@ dispatch:
 	}
 	wg.Wait()
 	return results, errs
-}
-
-// BatchStats reports what the batch planner found to share and what the
-// scheduler did with it: queries deduped, BFS passes saved vs the naive
-// fan-out, frontier-cache hits and per-group timings. See
-// internal/batch.Stats.
-type BatchStats = batch.Stats
-
-// frontierCacheProvider adapts the engine cache to the batch scheduler's
-// FrontierProvider seam, pinning the graph version and predicate token of
-// one batch execution. Deposits follow the admission check of single
-// queries (Engine.admitsDeposit), which the scheduler consults before it
-// builds a side only one member uses; a frontier the planner proved shared
-// — two or more members of this batch use it — is built for the batch and
-// deposited on that evidence alone.
-type frontierCacheProvider struct {
-	e   *Engine
-	g   *Graph
-	ver graph.Version
-	tok core.PredicateToken
-}
-
-func (p *frontierCacheProvider) Lookup(origin VertexID, forward bool, k int) *core.Frontier {
-	return p.e.cache.Get(cache.Key{Origin: origin, Forward: forward, Pred: p.tok}, k, p.ver)
-}
-
-func (p *frontierCacheProvider) Admits(origin VertexID, forward bool) bool {
-	return p.e.admitsDeposit(p.g, origin, forward)
-}
-
-func (p *frontierCacheProvider) Store(f *core.Frontier, uses int) bool {
-	if uses < 2 && !p.Admits(f.Origin(), f.IsForward()) {
-		return false
-	}
-	return p.e.cache.Put(f)
-}
-
-// ExecuteBatch runs the queries through the shared-computation batch
-// subsystem (internal/batch): exact-duplicate queries are answered once
-// and fanned back out, queries sharing a source or target reuse one
-// shared BFS frontier for that side of their index build, and the
-// resulting groups execute across the worker pool in estimated-cost
-// order. With the frontier cache enabled the scheduler consults it before
-// building any frontier and deposits what it builds, so a repeat batch
-// over the same hubs executes with zero BFS passes
-// (BatchStats.BFSPassesRun and the cache hit counters make this visible).
-// Results come back in input order with ExecuteAllContext's fail-fast
-// cancellation semantics; the naive independent fan-out remains available
-// as ExecuteAllContext.
-//
-// Two semantic differences from ExecuteAllContext follow from sharing:
-// duplicate queries receive the same *Result pointer (treat Results as
-// read-only), and opts.Emit — already concurrent and unattributed in
-// batch execution — fires once per unique query, not once per duplicate.
-func (e *Engine) ExecuteBatch(ctx context.Context, queries []Query, opts Options) ([]*Result, []error, *BatchStats) {
-	e.metrics.requests[opBatch].Inc()
-	e.metrics.batchQueries.Add(uint64(len(queries)))
-	start := time.Now()
-	g, oracle := e.view()
-	merged := e.MergeOptions(opts)
-	sch := e.newScheduler(g, oracle, merged)
-	plan := batch.NewPlanner(g).Plan(queries)
-	uniqRes, uniqErrs, stats := sch.Execute(ctx, g, plan, merged)
-	// Batch runs bypass ExecuteWith, so their stage timings fold in here —
-	// once per unique execution, not per duplicate.
-	for _, res := range uniqRes {
-		e.metrics.observeRun(res)
-	}
-	e.metrics.latency[opBatch].Observe(time.Since(start))
-	results, errs := plan.Scatter(uniqRes, uniqErrs)
-	return results, errs, stats
-}
-
-// newScheduler builds a batch scheduler over the captured (graph, oracle)
-// view, wiring the frontier cache in when the predicate is identifiable.
-// Shared by the materializing ExecuteBatch and the streaming StreamBatch.
-func (e *Engine) newScheduler(g *Graph, oracle DistanceOracle, merged Options) *batch.Scheduler {
-	sch := &batch.Scheduler{
-		Workers: e.workers,
-		Acquire: func() *core.Session { return e.session(g, oracle) },
-		Release: func(s *core.Session) { e.sessions.Put(s) },
-	}
-	if e.cache != nil && (merged.Predicate == nil || merged.PredicateToken != core.PredicateNone) {
-		sch.Frontiers = &frontierCacheProvider{e: e, g: g, ver: g.Version(), tok: merged.PredicateToken}
-	}
-	return sch
-}
-
-// admitDegree resolves EngineConfig.CacheAdmitDegree with its default.
-func (e *Engine) admitDegree() int {
-	admit := e.cfg.CacheAdmitDegree
-	if admit == 0 {
-		admit = DefaultCacheAdmitDegree
-	}
-	return admit
 }
 
 // CountAll returns per-query path counts in input order; the first query

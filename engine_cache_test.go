@@ -137,7 +137,9 @@ func TestBatchCacheHitPathSetEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := NewEngine(g, EngineConfig{Workers: 3})
+	// CacheAdmitDegree 1: every side is deposited, so the warm pass runs
+	// on cache hits alone.
+	cached, err := NewEngine(g, EngineConfig{Workers: 3, CacheAdmitDegree: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestBatchCacheHitPathSetEquality(t *testing.T) {
 // TestBatchTwoSidedPathSetEquality: a hub-to-hub grid batch — every query
 // sharing both its source and its target with other queries — must emit
 // exactly the paths of a cache-disabled engine, cold and warm, and the
-// warm repeat must run zero BFS passes.
+// warm repeat must run zero BFS passes, every side a cache hit.
 func TestBatchTwoSidedPathSetEquality(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 3, 61)
 	var queries []Query
@@ -211,15 +213,16 @@ func TestBatchTwoSidedPathSetEquality(t *testing.T) {
 	if stats.BFSPassesRun != 0 {
 		t.Fatalf("warm two-sided batch ran %d passes, want 0", stats.BFSPassesRun)
 	}
-	if stats.SharedFrontiers != 8 || stats.TwoSidedFrontiers != 4 {
-		t.Fatalf("grid sharing stats = %d shared / %d two-sided, want 8/4", stats.SharedFrontiers, stats.TwoSidedFrontiers)
+	if stats.FrontierCacheHits != 2*len(queries) || stats.FrontierCacheMisses != 0 {
+		t.Fatalf("warm grid lookups = %d hits / %d misses, want %d/0", stats.FrontierCacheHits, stats.FrontierCacheMisses, 2*len(queries))
 	}
 }
 
-// TestBatchDepositAdmission: under the default admission threshold a
-// fringe-to-hub batch deposits only the planner-proved shared hub side;
-// the fringe member sides are refused, so the warm repeat still rebuilds
-// them while the hub side hits.
+// TestBatchDepositAdmission: batch members pass the same degree-based
+// admission as single queries, so under the default threshold a
+// fringe-to-hub batch deposits only the hub side — built once, the other
+// members waiting on that single flight — while the fringe sides are
+// labeled by each member's own session, cold and warm.
 func TestBatchDepositAdmission(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, 9)
 	hub := VertexID(2) // the biggest attachment hub of this seed
@@ -250,11 +253,10 @@ func TestBatchDepositAdmission(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 	}
-	if cold.BFSPassesRun == 0 {
-		t.Fatal("cold batch cannot run zero passes")
+	if cold.BFSPassesRun != 1+cold.Unique {
+		t.Fatalf("cold batch ran %d passes, want %d (one hub build + one fringe side per unique)", cold.BFSPassesRun, 1+cold.Unique)
 	}
-	// Only the shared hub side (uses >= 2, admitted regardless of degree)
-	// may land in the cache.
+	// Only the hub side clears the admission threshold.
 	if cs := e.CacheStats(); cs.Entries != 1 {
 		t.Fatalf("admission deposited %d entries, want 1 (the hub side)", cs.Entries)
 	}
@@ -268,7 +270,7 @@ func TestBatchDepositAdmission(t *testing.T) {
 	if warm.FrontierCacheHits == 0 {
 		t.Fatal("warm repeat did not hit the deposited hub side")
 	}
-	// The refused fringe sides run again: one backward pass per unique.
+	// The fringe sides run again: one forward pass per unique.
 	if warm.BFSPassesRun != warm.Unique {
 		t.Fatalf("warm repeat ran %d passes, want %d (one refused fringe side per unique)", warm.BFSPassesRun, warm.Unique)
 	}
@@ -553,8 +555,9 @@ func TestConcurrentCacheReadersVsInsert(t *testing.T) {
 }
 
 // TestExecuteBatchOpaquePredicate: a predicate without a token is opaque —
-// no sharing, no caching — but must still produce correct results; the
-// same predicate with a token shares and caches.
+// no cache lookups, two passes per unique query — but must still produce
+// correct results; the same predicate with a token shares and caches, and
+// its warm repeat runs no pass.
 func TestExecuteBatchOpaquePredicate(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 3, 55)
 	pred := func(from, to VertexID) bool { return (int(from)+int(to))%3 != 0 }

@@ -408,59 +408,6 @@ func TestExtensionsSmall(t *testing.T) {
 	}
 }
 
-func TestBatchSmall(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Queries = 16
-	res, err := Batch(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no datasets produced a batch row")
-	}
-	out := res.Render()
-	if !strings.Contains(out, "Batch subsystem") || !strings.Contains(out, "speedup") {
-		t.Fatalf("render:\n%s", out)
-	}
-	for _, row := range res.Rows {
-		if row.BFSPlan > row.BFSNaive {
-			t.Fatalf("%s: plan runs more BFS passes (%d) than naive (%d)", row.Dataset, row.BFSPlan, row.BFSNaive)
-		}
-		if row.NaiveMs <= 0 || row.SharedMs <= 0 {
-			t.Fatalf("%s: timings missing: %+v", row.Dataset, row)
-		}
-	}
-}
-
-// TestCacheSmall: the cache experiment's warm call must run zero BFS
-// passes — the cross-batch reuse claim the experiment exists to show.
-func TestCacheSmall(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Queries = 16
-	res, err := Cache(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no datasets produced a cache row")
-	}
-	out := res.Render()
-	if !strings.Contains(out, "Frontier cache") || !strings.Contains(out, "BFS warm") {
-		t.Fatalf("render:\n%s", out)
-	}
-	for _, row := range res.Rows {
-		if row.ColdBFS == 0 {
-			t.Fatalf("%s: cold call reported zero BFS passes", row.Dataset)
-		}
-		if row.WarmBFS != 0 {
-			t.Fatalf("%s: warm call ran %d BFS passes, want 0", row.Dataset, row.WarmBFS)
-		}
-		if row.WarmHits == 0 {
-			t.Fatalf("%s: warm call recorded no cache hits", row.Dataset)
-		}
-	}
-}
-
 // TestShardSmall: the sharded experiment runs, covers both classes at
 // P>1, keeps path parity with the baseline (enforced inside Shard), and
 // renders.

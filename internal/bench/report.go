@@ -21,7 +21,6 @@ type RunMeta struct {
 	Queries    int      `json:"queries,omitempty"`
 	K          int      `json:"k,omitempty"`
 	Seed       int64    `json:"seed,omitempty"`
-	Plan       string   `json:"plan,omitempty"`
 	Parallel   int      `json:"parallel,omitempty"`
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	GoVersion  string   `json:"go_version"`
@@ -46,7 +45,6 @@ func (c Config) Meta() RunMeta {
 	m.Queries = c.Queries
 	m.K = c.K
 	m.Seed = c.Seed
-	m.Plan = c.Plan
 	m.Parallel = c.Parallel
 	return m
 }

@@ -6,12 +6,14 @@
 // PathEnum's per-query index rebuild is what makes it real-time, but a
 // repeat hub — a popular account queried in every fraud batch, the
 // dynamic e-commerce scenario of §7.2 — pays the same BFS labeling on
-// every call. The batch subsystem (internal/batch) removes that
-// redundancy within one batch; this cache removes it *across* batches and
-// across single queries: a frontier built once is served to every later
-// query with the same endpoint, direction, compatible bound (bound >= k —
+// every call. This cache removes that redundancy across queries, batches
+// and streams alike: a frontier built once is served to every later query
+// with the same endpoint, direction, compatible bound (bound >= k —
 // frontier labels are a sound relaxation, see core.Frontier) and the same
-// predicate identity (core.PredicateToken).
+// predicate identity (core.PredicateToken). GetOrBuild fills a miss
+// single-flight, so a burst of queries on one cold hub — a batch sharing
+// a source, or concurrent /query traffic — pays for one labeling, not one
+// per query.
 //
 // Residency is bounded in bytes, not just entries. Every entry is an
 // O(|V|) labeling (core.Frontier.MemoryBytes), so an entry-count bound
@@ -111,6 +113,7 @@ type FrontierCache struct {
 	lru      *list.List  // front = most recently used; values are *entry
 	byKey    map[Key]*list.Element
 	bytes    int64
+	building map[Key]*flight // GetOrBuild builds in progress
 
 	hits, misses, evictions, invalidations, rejected uint64
 }
@@ -141,6 +144,7 @@ func NewBudgeted(capacity int, maxBytes int64, budget *mem.Budget) *FrontierCach
 		budget:   budget,
 		lru:      list.New(),
 		byKey:    make(map[Key]*list.Element, capacity),
+		building: make(map[Key]*flight),
 	}
 }
 
@@ -158,6 +162,10 @@ func (c *FrontierCache) MaxBytes() int64 { return c.maxBytes }
 func (c *FrontierCache) Get(key Key, k int, ver graph.Version) *core.Frontier {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.getLocked(key, k, ver)
+}
+
+func (c *FrontierCache) getLocked(key Key, k int, ver graph.Version) *core.Frontier {
 	el, ok := c.byKey[key]
 	if !ok {
 		c.misses++
@@ -186,6 +194,50 @@ func (c *FrontierCache) Get(key Key, k int, ver graph.Version) *core.Frontier {
 	c.lru.MoveToFront(el)
 	c.hits++
 	return ent.f
+}
+
+// flight is one GetOrBuild build in progress: misses that can use its
+// result wait on done and then read f (nil when the build declined).
+type flight struct {
+	k    int
+	ver  graph.Version
+	done chan struct{}
+	f    *core.Frontier
+}
+
+// GetOrBuild is Get with single-flight fill. On a miss it runs build,
+// deposits the result (Put) and returns it; concurrent misses on the same
+// key at the same version and a bound <= the builder's wait for that one
+// build instead of running their own, and count as misses. A miss that
+// cannot use the build in progress (another version, a larger k) builds on
+// its own. build may return nil — declined or failed — and then the caller
+// and its waiters get nil. built reports whether this call ran build.
+func (c *FrontierCache) GetOrBuild(key Key, k int, ver graph.Version, build func() *core.Frontier) (f *core.Frontier, built bool) {
+	c.mu.Lock()
+	if f := c.getLocked(key, k, ver); f != nil {
+		c.mu.Unlock()
+		return f, false
+	}
+	if fl := c.building[key]; fl != nil && fl.ver == ver && fl.k >= k {
+		c.mu.Unlock()
+		<-fl.done
+		return fl.f, false
+	}
+	fl := &flight{k: k, ver: ver, done: make(chan struct{})}
+	c.building[key] = fl
+	c.mu.Unlock()
+	// Deferred so a panicking build still releases its waiters (with nil).
+	defer func() {
+		c.mu.Lock()
+		if c.building[key] == fl {
+			delete(c.building, key)
+		}
+		c.mu.Unlock()
+		close(fl.done)
+	}()
+	fl.f = build()
+	c.Put(fl.f)
+	return fl.f, fl.f != nil
 }
 
 // Fits reports whether Put could hold a frontier of the given size at all:

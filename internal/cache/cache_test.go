@@ -3,7 +3,9 @@ package cache
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pathenum/internal/core"
 	"pathenum/internal/gen"
@@ -512,5 +514,180 @@ func TestFitsAgreesWithPut(t *testing.T) {
 	rejected := c.Stats().Rejected
 	if c.Put(fwdFrontier(t, g, 3, 3)) || c.Stats().Rejected != rejected+1 {
 		t.Fatal("Put accepted what Fits refused")
+	}
+}
+
+// TestFrontierSingleFlight: eight goroutines miss the same (origin,
+// forward) at once and exactly one build runs; the other seven wait for it
+// and all eight get the one frontier, which is then resident.
+func TestFrontierSingleFlight(t *testing.T) {
+	g := gen.BarabasiAlbert(60, 3, 4)
+	c := New(4)
+	key := Key{Origin: 0, Forward: true}
+	release := make(chan struct{})
+	var builds atomic.Int32
+	build := func() *core.Frontier {
+		builds.Add(1)
+		<-release
+		return fwdFrontier(t, g, 0, 4)
+	}
+	const callers = 8
+	got := make([]*core.Frontier, callers)
+	built := make([]bool, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], built[i] = c.GetOrBuild(key, 4, g.Version(), build)
+		}()
+	}
+	// Every caller has missed — one is building, seven are waiting —
+	// before the build may finish.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().Misses < callers {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d callers reached the cache", c.Stats().Misses, callers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds ran, want 1", n)
+	}
+	nBuilt := 0
+	for i := range callers {
+		if got[i] == nil || got[i] != got[0] {
+			t.Fatalf("caller %d got %p, caller 0 %p", i, got[i], got[0])
+		}
+		if built[i] {
+			nBuilt++
+		}
+	}
+	if nBuilt != 1 {
+		t.Fatalf("%d callers report building, want 1", nBuilt)
+	}
+	if c.Get(key, 4, g.Version()) != got[0] {
+		t.Fatal("the built frontier is not resident")
+	}
+}
+
+// TestGetOrBuildHitSkipsBuild: a resident frontier serving k is returned
+// without calling build, and counts as a hit.
+func TestGetOrBuildHitSkipsBuild(t *testing.T) {
+	g := gen.BarabasiAlbert(40, 2, 1)
+	c := New(4)
+	f := fwdFrontier(t, g, 3, 5)
+	c.Put(f)
+	got, built := c.GetOrBuild(Key{Origin: 3, Forward: true}, 4, g.Version(), func() *core.Frontier {
+		t.Fatal("build called on a hit")
+		return nil
+	})
+	if got != f || built {
+		t.Fatalf("GetOrBuild = %p, %v; want the resident %p, false", got, built, f)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want one hit", st)
+	}
+}
+
+// TestGetOrBuildDeclinedBuild: a build returning nil deposits nothing and
+// reports no build, so the next miss builds again.
+func TestGetOrBuildDeclinedBuild(t *testing.T) {
+	g := gen.BarabasiAlbert(40, 2, 1)
+	c := New(4)
+	key := Key{Origin: 3, Forward: true}
+	calls := 0
+	declined := func() *core.Frontier { calls++; return nil }
+	for range 2 {
+		if got, built := c.GetOrBuild(key, 4, g.Version(), declined); got != nil || built {
+			t.Fatalf("declined build returned %p, %v", got, built)
+		}
+	}
+	if calls != 2 || c.Len() != 0 {
+		t.Fatalf("calls %d, entries %d; want 2 and 0", calls, c.Len())
+	}
+}
+
+// TestGetOrBuildIncompatibleFlightBuildsOwn: a miss that cannot use the
+// build in progress — a larger k, or another graph version — does not wait
+// for it but builds its own.
+func TestGetOrBuildIncompatibleFlightBuildsOwn(t *testing.T) {
+	d := graph.NewDynamic(gen.BarabasiAlbert(60, 3, 4))
+	snap0 := d.Snapshot()
+	if ok, err := d.Insert(0, 59); err != nil || !ok {
+		t.Fatalf("insert: %v %v", ok, err)
+	}
+	snap1 := d.Snapshot()
+	key := Key{Origin: 0, Forward: true}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		k    int
+	}{{"larger k", snap0, 5}, {"newer version", snap1, 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(4)
+			entered, release := make(chan struct{}), make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				c.GetOrBuild(key, 4, snap0.Version(), func() *core.Frontier {
+					close(entered)
+					<-release
+					return fwdFrontier(t, snap0, 0, 4)
+				})
+			}()
+			<-entered
+			got, built := c.GetOrBuild(key, tc.k, tc.g.Version(), func() *core.Frontier {
+				return fwdFrontier(t, tc.g, 0, tc.k)
+			})
+			close(release)
+			<-done
+			if !built || got == nil || got.Bound() != tc.k || got.GraphVersion() != tc.g.Version() {
+				t.Fatalf("GetOrBuild = %v, %v; want its own bound-%d build at %v", got, built, tc.k, tc.g.Version())
+			}
+		})
+	}
+}
+
+// TestGetOrBuildPanicReleasesWaiters: a build that panics still releases
+// the callers waiting on it (with nil), and the key can be built again.
+func TestGetOrBuildPanicReleasesWaiters(t *testing.T) {
+	g := gen.BarabasiAlbert(40, 2, 1)
+	c := New(4)
+	key := Key{Origin: 3, Forward: true}
+	entered, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer func() { _ = recover() }()
+		c.GetOrBuild(key, 4, g.Version(), func() *core.Frontier {
+			close(entered)
+			<-release
+			panic("build failed")
+		})
+	}()
+	<-entered
+	waited := make(chan *core.Frontier)
+	go func() {
+		f, _ := c.GetOrBuild(key, 4, g.Version(), func() *core.Frontier {
+			t.Error("waiter ran its own build")
+			return nil
+		})
+		waited <- f
+	}()
+	for c.Stats().Misses < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	select {
+	case f := <-waited:
+		if f != nil {
+			t.Fatalf("waiter on a panicked build got %p, want nil", f)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter not released by the panicking build")
+	}
+	if got, built := c.GetOrBuild(key, 4, g.Version(), func() *core.Frontier { return fwdFrontier(t, g, 3, 4) }); got == nil || !built {
+		t.Fatal("key not buildable after a panicked build")
 	}
 }

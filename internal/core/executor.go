@@ -70,10 +70,10 @@ func (e *executor) execute(ctx context.Context, q Query, opts Options) (*Result,
 
 // executeShared is execute with optionally precomputed distance labelings:
 // a non-nil fwd stands in for the forward side from q.S and a non-nil bwd
-// for the backward side from q.T. This is the batch subsystem's entry
-// point — a shared-source group passes one forward Frontier to every
-// member, so each member only runs the other side, restricted to what the
-// frontier says the budget can use (bfsScratch.label). Frontier labels
+// for the backward side from q.T. This is the frontier cache's entry
+// point — queries sharing a source pass one forward Frontier, so each
+// only runs the other side, restricted to what the frontier says the
+// budget can use (bfsScratch.label). Frontier labels
 // are a sound relaxation of the per-query ones (see the Frontier doc);
 // Result.Timings.BFS and Result.BFSVisited cover only the per-query
 // searches actually run, and index statistics may report a slightly

@@ -26,12 +26,10 @@ type PredicateToken uint64
 const PredicateNone PredicateToken = 0
 
 // Frontier is a precomputed bounded BFS distance labeling from one
-// endpoint, shareable across every query of a batch group that has that
-// endpoint in common — and, via the engine's frontier cache, across
-// batches. It is the index-construction entry point the batch subsystem
-// (internal/batch) builds on: a shared-source group computes one forward
-// frontier from s and reuses it for every member's index build, paying one
-// BFS pass instead of |group|.
+// endpoint, shareable — through the engine's frontier cache — across every
+// query that has that endpoint in common: queries sharing a source reuse
+// one forward frontier from s for their index builds, paying one BFS pass
+// instead of one each.
 //
 // Relaxation vs the per-query labeling. A per-query forward BFS computes
 // S(s,v | G-{t}) — the opposite endpoint is never expanded — and stops at

@@ -67,7 +67,7 @@ func equalStrings(a, b []string) bool {
 // both) sides must emit exactly the path set of the per-query pipeline,
 // even though frontier labels are a relaxation (full-graph BFS, larger
 // bound) of the per-query ones. This is the correctness contract the
-// batch subsystem rests on.
+// engine's frontier cache rests on.
 func TestRunSharedMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	ctx := context.Background()

@@ -82,10 +82,9 @@ func (s *Session) RunContext(ctx context.Context, q Query, opts Options) (*Resul
 // opts.PredicateToken. Mismatched frontiers return an error — a frontier
 // from an older epoch of the graph's lineage reports graph.ErrStaleEpoch
 // under errors.Is. A nil side is computed per query as usual. This is the
-// shared-computation entry point of the batch subsystem (internal/batch)
-// and of the engine's frontier cache: each shared side stands in for that
-// side's per-query search, and the remaining side is searched only where
-// the shared labels leave budget. Results are identical to RunContext's —
+// entry point of the engine's frontier cache: each shared side stands in
+// for that side's per-query search, and the remaining side is searched
+// only where the shared labels leave budget. Results are identical to RunContext's —
 // frontier labels relax the per-query ones soundly (see Frontier).
 func (s *Session) RunShared(ctx context.Context, q Query, opts Options, fwd, bwd *Frontier) (*Result, error) {
 	return s.ex.executeShared(ctx, q, opts, fwd, bwd, nil)

@@ -650,8 +650,8 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 
 // batchRequest is the JSON body of POST /batch: a list of queries answered
 // against the shared engine, plus batch-wide option overrides. Responses
-// carry counts only (no path materialization). Naive opts out of the
-// shared-computation batch subsystem and fans the queries out
+// carry counts only (no path materialization). Naive opts out of
+// ExecuteBatch's dedup and endpoint order and fans the queries out
 // independently (the ExecuteAllContext baseline).
 type batchRequest struct {
 	Queries []queryRequest `json:"queries"`
@@ -660,37 +660,29 @@ type batchRequest struct {
 	Timeout string         `json:"timeout,omitempty"`
 	Naive   bool           `json:"naive,omitempty"`
 	// Stream switches the response to NDJSON with per-query flush: one
-	// {"index":i,...} line the moment each query's group completes
+	// {"index":i,...} line the moment each query's execution settles
 	// (completion order, not input order), closed by a {"done":true,...}
 	// line carrying the batch stats. Client disconnect cancels the
 	// remaining work fail-fast. Mutually exclusive with Naive — streaming
-	// delivery is a property of the shared-computation scheduler.
+	// delivery is a property of Engine.StreamBatch.
 	Stream bool `json:"stream,omitempty"`
 }
 
-// batchStats is the wire form of the batch subsystem's per-batch report.
+// batchStats is the wire form of the engine's per-batch report.
 // BFSPassesRun is the count actually executed after frontier-cache hits
 // (0 on a fully warm repeat batch); Epoch identifies the graph version
 // the batch ran on.
 type batchStats struct {
-	Queries        int     `json:"queries"`
-	Invalid        int     `json:"invalid,omitempty"`
-	Unique         int     `json:"unique"`
-	Deduped        int     `json:"deduped"`
-	Groups         int     `json:"groups"`
-	SharedSource   int     `json:"sharedSource"`
-	SharedTarget   int     `json:"sharedTarget"`
-	Singletons     int     `json:"singletons"`
-	BFSPasses      int     `json:"bfsPasses"`
-	BFSPassesNaive int     `json:"bfsPassesNaive"`
-	BFSPassesSaved int     `json:"bfsPassesSaved"`
-	BFSPassesRun   int     `json:"bfsPassesRun"`
-	SharedFront    int     `json:"sharedFrontiers"`
-	TwoSidedFront  int     `json:"twoSidedFrontiers"`
-	CacheHits      int     `json:"cacheHits"`
-	CacheMisses    int     `json:"cacheMisses"`
-	SharedBFSMs    float64 `json:"sharedBfsMs"`
-	Epoch          uint64  `json:"epoch"`
+	Queries        int    `json:"queries"`
+	Invalid        int    `json:"invalid,omitempty"`
+	Unique         int    `json:"unique"`
+	Deduped        int    `json:"deduped"`
+	BFSPassesNaive int    `json:"bfsPassesNaive"`
+	BFSPassesSaved int    `json:"bfsPassesSaved"`
+	BFSPassesRun   int    `json:"bfsPassesRun"`
+	CacheHits      int    `json:"cacheHits"`
+	CacheMisses    int    `json:"cacheMisses"`
+	Epoch          uint64 `json:"epoch"`
 }
 
 // batchResult is one slot of the batch response; Error is set instead of
@@ -753,10 +745,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The shared-computation batch subsystem is the default path: it
-	// dedups identical queries and shares BFS frontiers across queries
-	// with a common endpoint, reporting what it saved in the response
-	// stats. "naive":true keeps the independent fan-out for comparison.
+	// ExecuteBatch is the default path: it dedups identical queries and
+	// runs queries sharing an endpoint back to back over the frontier
+	// cache, reporting the BFS passes it saved in the response stats.
+	// "naive":true keeps the independent fan-out for comparison.
 	start := time.Now()
 	var (
 		results []*pathenum.Result
@@ -792,7 +784,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// toBatchStats converts the subsystem stats to the wire form. The planner
+// toBatchStats converts the engine stats to the wire form. The engine
 // only saw the queries that survived wire-level resolution; totalQueries
 // and rejected reconcile the report with the client's batch (rejected
 // slots count as invalid).
@@ -802,26 +794,18 @@ func (s *Server) toBatchStats(stats *pathenum.BatchStats, totalQueries, rejected
 		Invalid:        stats.Invalid + rejected,
 		Unique:         stats.Unique,
 		Deduped:        stats.Deduped,
-		Groups:         stats.Groups,
-		SharedSource:   stats.SharedSourceGroups,
-		SharedTarget:   stats.SharedTargetGroups,
-		Singletons:     stats.Singletons,
-		BFSPasses:      stats.BFSPasses,
 		BFSPassesNaive: stats.BFSPassesNaive,
 		BFSPassesSaved: stats.BFSPassesSaved,
 		BFSPassesRun:   stats.BFSPassesRun,
-		SharedFront:    stats.SharedFrontiers,
-		TwoSidedFront:  stats.TwoSidedFrontiers,
 		CacheHits:      stats.FrontierCacheHits,
 		CacheMisses:    stats.FrontierCacheMisses,
-		SharedBFSMs:    float64(stats.SharedBFS) / float64(time.Millisecond),
 		Epoch:          s.engine.Epoch(),
 	}
 }
 
 // batchLine is one NDJSON line of a streaming /batch response: the result
 // (or error) of the query at the request's Index position, flushed as its
-// group completes.
+// execution settles.
 type batchLine struct {
 	Index     int    `json:"index"`
 	Count     uint64 `json:"count"`
@@ -841,7 +825,7 @@ type batchDoneLine struct {
 // first, then one line per query in completion order via
 // Engine.StreamBatch, then the done line with the batch stats. Write
 // failures (client disconnect) abandon the stream, which cancels the
-// remaining work through the request context with the scheduler's
+// remaining work through the request context with StreamBatch's
 // fail-fast semantics.
 func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, opts pathenum.Options, out []batchResult, queries []pathenum.Query, slots []int) {
 	w.Header().Set("Content-Type", ndjsonContentType)

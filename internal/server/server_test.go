@@ -302,9 +302,9 @@ func TestBatchBasic(t *testing.T) {
 	}
 }
 
-// TestBatchStats: the default /batch path runs the shared-computation
-// subsystem and reports its planning stats — duplicates folded, shared
-// groups formed, BFS passes saved.
+// TestBatchStats: the default /batch path runs ExecuteBatch and reports
+// what it folded and saved — duplicates answered once, so fewer BFS passes
+// than the naive fan-out.
 func TestBatchStats(t *testing.T) {
 	ts := testServer(t, nil)
 	// Two duplicates of (0,3,3) plus a third query sharing source 0.
@@ -318,8 +318,8 @@ func TestBatchStats(t *testing.T) {
 	if br.Stats.Queries != 3 || br.Stats.Deduped != 1 || br.Stats.Unique != 2 {
 		t.Fatalf("stats = %+v, want Queries=3 Deduped=1 Unique=2", br.Stats)
 	}
-	if br.Stats.SharedSource != 1 || br.Stats.BFSPassesSaved < 1 {
-		t.Fatalf("stats = %+v, want one shared-source group with saved passes", br.Stats)
+	if br.Stats.BFSPassesNaive != 6 || br.Stats.BFSPassesSaved < 2 {
+		t.Fatalf("stats = %+v, want 6 naive passes with the duplicate's 2 saved", br.Stats)
 	}
 	// Duplicate slots both answer.
 	if br.Results[0].Count != br.Results[1].Count || br.Results[0].Count == 0 {
@@ -327,25 +327,32 @@ func TestBatchStats(t *testing.T) {
 	}
 }
 
-// TestBatchStatsTwoSided: the wire stats surface the two-sided planner
-// accounting — total shared specs and the subset shared across group
-// boundaries.
+// TestBatchStatsTwoSided: the wire stats of a batch whose queries share
+// endpoints on both sides reconcile — run + saved = naive, one cache
+// lookup per side — and a repeat of it runs no more passes than the first.
 func TestBatchStatsTwoSided(t *testing.T) {
 	ts := testServer(t, nil)
-	// Source 0 hosts a group; target 3 is additionally shared across the
-	// group boundary by the singleton (1,3).
-	resp, br := postBatch(t, ts, `{"queries":[{"s":0,"t":3,"k":3},{"s":0,"t":1,"k":3},{"s":1,"t":3,"k":3}]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
+	body := `{"queries":[{"s":0,"t":3,"k":3},{"s":0,"t":1,"k":3},{"s":1,"t":3,"k":3}]}`
+	var runs []int
+	for range 2 {
+		resp, br := postBatch(t, ts, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+		st := br.Stats
+		if st == nil {
+			t.Fatal("default batch must report stats")
+		}
+		if st.BFSPassesNaive != 6 || st.BFSPassesRun+st.BFSPassesSaved != st.BFSPassesNaive {
+			t.Fatalf("stats = %+v, want run + saved = naive = 6", st)
+		}
+		if st.CacheHits+st.CacheMisses != 2*st.Unique {
+			t.Fatalf("stats = %+v, want one cache lookup per side", st)
+		}
+		runs = append(runs, st.BFSPassesRun)
 	}
-	if br.Stats == nil {
-		t.Fatal("default batch must report stats")
-	}
-	if br.Stats.SharedFront != 2 || br.Stats.TwoSidedFront != 1 {
-		t.Fatalf("stats = %+v, want sharedFrontiers=2 twoSidedFrontiers=1 (hub side + cross-group target)", br.Stats)
-	}
-	if br.Stats.BFSPasses != 4 {
-		t.Fatalf("stats = %+v, want bfsPasses=4 (2 shared + 2 solo)", br.Stats)
+	if runs[1] > runs[0] {
+		t.Fatalf("repeat batch ran %d passes, first %d", runs[1], runs[0])
 	}
 }
 

@@ -739,11 +739,11 @@ dispatch:
 }
 
 // ExecuteBatch routes a batch by shard: queries confined to one shard
-// run through that shard's shared-computation batch subsystem (dedup,
-// shared frontiers) as one sub-batch, concurrently across shards; the
-// boundary-involved remainder fans out through the phased path. The
-// merged stats sum the per-shard planner reports, with routed singles
-// accounted as naive singletons.
+// run through that shard's ExecuteBatch (dedup, endpoint order, the
+// shard's frontier cache) as one sub-batch, concurrently across shards;
+// the boundary-involved remainder fans out through the phased path. The
+// merged stats sum the per-shard reports, with routed singles accounted
+// as naive executions (two passes each).
 func (e *Engine) ExecuteBatch(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) ([]*pathenum.Result, []error, *pathenum.BatchStats) {
 	start := time.Now()
 	results := make([]*pathenum.Result, len(queries))
@@ -807,33 +807,22 @@ func (e *Engine) ExecuteBatch(ctx context.Context, queries []pathenum.Query, opt
 	}
 	wg.Wait()
 	stats.Unique += len(singles)
-	stats.Groups += len(singles)
-	stats.Singletons += len(singles)
 	stats.BFSPassesNaive += 2 * len(singles)
-	stats.BFSPasses += 2 * len(singles)
 	stats.BFSPassesRun += 2 * len(singles)
 	stats.Elapsed = time.Since(start)
 	return results, errs, stats
 }
 
-// addBatchStats folds one shard sub-batch's planner report into the
-// merged stats (Queries/Invalid/Elapsed are batch-level and excluded).
+// addBatchStats folds one shard sub-batch's report into the merged stats
+// (Queries/Invalid/Elapsed are batch-level and excluded).
 func addBatchStats(dst, src *pathenum.BatchStats) {
 	dst.Unique += src.Unique
 	dst.Deduped += src.Deduped
-	dst.Groups += src.Groups
-	dst.SharedSourceGroups += src.SharedSourceGroups
-	dst.SharedTargetGroups += src.SharedTargetGroups
-	dst.Singletons += src.Singletons
 	dst.BFSPassesNaive += src.BFSPassesNaive
-	dst.BFSPasses += src.BFSPasses
 	dst.BFSPassesSaved += src.BFSPassesSaved
 	dst.BFSPassesRun += src.BFSPassesRun
 	dst.FrontierCacheHits += src.FrontierCacheHits
 	dst.FrontierCacheMisses += src.FrontierCacheMisses
-	dst.SharedFrontiers += src.SharedFrontiers
-	dst.TwoSidedFrontiers += src.TwoSidedFrontiers
-	dst.SharedBFS += src.SharedBFS
 }
 
 // StreamBatch delivers per-query results in completion order with the

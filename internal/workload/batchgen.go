@@ -9,16 +9,16 @@ import (
 
 // BatchQuery is one query of a generated batch set; unlike Query it
 // carries its hop constraint, since batch files are consumed directly by
-// the batch subsystem rather than swept over k.
+// Engine.ExecuteBatch rather than swept over k.
 type BatchQuery struct {
 	S, T graph.VertexID
 	K    int
 }
 
 // BatchOptions configures shared-endpoint batch generation — the workload
-// the shared-computation batch subsystem (internal/batch) exists for:
-// clusters of queries with a common source or target, optionally salted
-// with exact duplicates.
+// where dedupe and the single-flight frontier cache pay off: clusters of
+// queries with a common source or target, optionally salted with exact
+// duplicates.
 type BatchOptions struct {
 	// Count is the total number of queries (duplicates included).
 	Count int

@@ -107,6 +107,11 @@ func TestMetricsBatchSurfaces(t *testing.T) {
 	if got := snap[`pathenum_batch_queries_total`]; got != 6 {
 		t.Fatalf("batch queries = %v, want 6", got)
 	}
+	// Batch members run on the query spine but are the batch's request,
+	// not requests of their own.
+	if got := snap[`pathenum_requests_total{op="execute"}`]; got != 0 {
+		t.Fatalf("execute requests = %v, want 0: batch members counted as single queries", got)
+	}
 	if got := snap[`pathenum_request_duration_seconds{op="stream_batch"}_count`]; got != 1 {
 		t.Fatalf("stream_batch duration count = %v", got)
 	}

@@ -31,12 +31,12 @@
 // documented wrappers over the same executor spine.
 //
 // Query batches should run through the Engine: ExecuteAllContext fans
-// queries out independently across a worker pool, and ExecuteBatch routes
-// them through the shared-computation batch subsystem (internal/batch),
-// which deduplicates identical queries and reuses one BFS distance
-// frontier across all queries sharing a source or target — the dominant
-// index-construction cost on batch workloads; Engine.StreamBatch is its
-// streaming variant, flushing per-query results as groups complete. On
+// queries out independently across a worker pool, and ExecuteBatch
+// answers duplicate queries once and runs the rest in endpoint order on
+// one captured graph view, so queries sharing a source or target share
+// that side's BFS frontier through the engine's cache, filled
+// single-flight; Engine.StreamBatch is its streaming variant, flushing
+// per-query results as they settle. On
 // mutating graphs the engine owns the write path: Engine.Insert applies
 // edges to an engine-owned Dynamic, publishes snapshots amortized by
 // EngineConfig.SnapshotEvery and keeps derived structures (frontier

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"pathenum/internal/batch"
 	"pathenum/internal/core"
 )
 
@@ -229,100 +228,8 @@ func (e *Engine) startStream(ctx context.Context, req Request) (iter.Seq2[Path, 
 	}
 	lease := streamLease{release: e.track(par)}
 	g, oracle := e.view()
-	sc.Fwd, sc.Bwd = e.frontiers(ctx, g, oracle, req.Query(), merged)
+	sc.Fwd, sc.Bwd, _ = e.frontiers(ctx, g, oracle, req.Query(), merged)
 	lease.pool = &e.sessions
 	lease.sess = e.session(g, oracle)
 	return lease.sess.StreamWith(ctx, req.Query(), merged, sc), lease
-}
-
-// BatchItem is one delivery of a streaming batch execution: the result (or
-// error) of the query at original batch position Index, flushed as soon as
-// its group completes. The final item of a stream that ran to the end
-// carries the batch statistics instead (Index == -1, Stats != nil); a
-// stream abandoned early never delivers it.
-type BatchItem struct {
-	// Index is the original batch position, or -1 for the final stats
-	// item.
-	Index int
-	// Result is the query's result; duplicate queries share one pointer
-	// (read-only), exactly as in ExecuteBatch.
-	Result *Result
-	// Err is the query's validation or cancellation error; Result is nil
-	// when it is set.
-	Err error
-	// Stats is non-nil only on the final item: the full BatchStats of the
-	// execution.
-	Stats *BatchStats
-}
-
-// StreamBatch is the streaming variant of ExecuteBatch: the same
-// shared-computation planning and fail-fast cancellation, but per-query
-// results are delivered incrementally as their groups complete instead of
-// buffered into one slice — a heavy batch starts answering after its
-// first group, not after its slowest. Items arrive in completion order,
-// not input order; Index maps each back to its batch position, invalid
-// queries are delivered first, and duplicates are fanned out as their
-// unique execution settles. Breaking out of the loop cancels the
-// remaining work (queries not yet started are abandoned, in-flight
-// enumerations stop early) and waits for the scheduler to wind down, so
-// sessions are never leaked. The final item carries the BatchStats — see
-// BatchItem.
-func (e *Engine) StreamBatch(ctx context.Context, queries []Query, opts Options) iter.Seq[BatchItem] {
-	return func(yield func(BatchItem) bool) {
-		e.metrics.requests[opStreamBatch].Inc()
-		e.metrics.batchQueries.Add(uint64(len(queries)))
-		start := time.Now()
-		// Duration covers first pull to iterator exit, abandoned streams
-		// included — the consumer's drain is part of a streaming batch.
-		defer func() {
-			e.metrics.latency[opStreamBatch].Observe(time.Since(start))
-		}()
-		g, oracle := e.view()
-		merged := e.MergeOptions(opts)
-		plan := batch.NewPlanner(g).Plan(queries)
-		for i, err := range plan.Invalid() {
-			if err != nil && !yield(BatchItem{Index: i, Err: err}) {
-				return
-			}
-		}
-
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		type settled struct {
-			u   int
-			res *Result
-			err error
-		}
-		// Full-size buffer: the scheduler never blocks on a slow consumer,
-		// so a stalled client cannot hold worker slots hostage — the
-		// consumer-side flush is the only thing that lags.
-		ch := make(chan settled, len(plan.Unique))
-		sch := e.newScheduler(g, oracle, merged)
-		sch.OnResult = func(u int, res *core.Result, err error) {
-			ch <- settled{u: u, res: res, err: err}
-		}
-		var stats *BatchStats
-		go func() {
-			defer close(ch)
-			_, _, stats = sch.Execute(ctx, g, plan, merged)
-		}()
-		// On early exit, cancel the execution and drain until the
-		// scheduler has fully wound down (close of ch) before returning.
-		defer func() {
-			cancel()
-			for range ch { //nolint:revive // drain until the scheduler exits
-			}
-		}()
-		for s := range ch {
-			e.metrics.observeRun(s.res) // once per unique execution, nil-safe
-			for _, i := range plan.Slots[s.u] {
-				if !yield(BatchItem{Index: i, Result: s.res, Err: s.err}) {
-					return
-				}
-			}
-		}
-		// stats was written before close(ch); the range observing the
-		// close orders the read after it.
-		yield(BatchItem{Index: -1, Stats: stats})
-	}
 }

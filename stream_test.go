@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -409,7 +410,9 @@ func TestStreamBatchMatchesExecuteBatch(t *testing.T) {
 }
 
 // TestStreamBatchEarlyBreak: abandoning the stream cancels the remaining
-// work without leaking sessions — the engine keeps serving afterwards.
+// work and waits for the workers, so the goroutine count returns to its
+// baseline, every session is back in the pool (the pool gauges read idle)
+// and the engine keeps serving.
 func TestStreamBatchEarlyBreak(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 71)
 	e, err := NewEngine(g, EngineConfig{Workers: 2})
@@ -417,19 +420,34 @@ func TestStreamBatchEarlyBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := repeatHubBatch(g, 0, 24, 4, 29)
-	got := 0
-	for item := range e.StreamBatch(context.Background(), queries, Options{}) {
-		if item.Index >= 0 && item.Err == nil {
-			got++
+	before := runtime.NumGoroutine()
+	for _, after := range []int{1, 3} {
+		got := 0
+		for item := range e.StreamBatch(context.Background(), queries, Options{}) {
+			if item.Index < 0 {
+				t.Fatal("stats item delivered to an abandoned stream")
+			}
+			if item.Err == nil {
+				got++
+			}
+			if got == after {
+				break
+			}
 		}
-		if got == 3 {
-			break
+		if got != after {
+			t.Fatalf("consumed %d items before break, want %d", got, after)
+		}
+		if ps := e.PoolStats(); ps.InFlightQueries != 0 || ps.InFlightShards != 0 {
+			t.Fatalf("break after %d: pool = %+v, want idle", after, ps)
 		}
 	}
-	if got != 3 {
-		t.Fatalf("consumed %d items before break, want 3", got)
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
 	}
-	// The scheduler has fully wound down; the engine serves normally.
+	if now := runtime.NumGoroutine(); now > before {
+		t.Fatalf("%d goroutines after the abandoned batches, was %d", now, before)
+	}
 	if _, err := e.ExecuteWith(context.Background(), queries[0], Options{}); err != nil {
 		t.Fatalf("engine unusable after abandoned batch stream: %v", err)
 	}
@@ -447,9 +465,27 @@ func TestStreamBatchCancellation(t *testing.T) {
 	queries := repeatHubBatch(g, 0, 16, 5, 31)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// Only the first query to emit runs free; every other one holds at its
+	// first path until the cancel, so the workers cannot drain the batch
+	// before the consumer's cancel lands, however the threads are scheduled.
+	var mu sync.Mutex
+	var free [2]VertexID
+	opts := Options{Emit: func(p []VertexID) bool {
+		ends := [2]VertexID{p[0], p[len(p)-1]}
+		mu.Lock()
+		if free == [2]VertexID{} {
+			free = ends
+		}
+		hold := ends != free
+		mu.Unlock()
+		if hold {
+			<-ctx.Done()
+		}
+		return true
+	}}
 	delivered, ctxErrs := 0, 0
 	sawStats := false
-	for item := range e.StreamBatch(ctx, queries, Options{}) {
+	for item := range e.StreamBatch(ctx, queries, opts) {
 		if item.Index == -1 {
 			sawStats = true
 			continue
