@@ -347,7 +347,7 @@ func buildIndex(g *graph.Graph, q Query, lab labeling, pred EdgePredicate, pm *p
 	}
 	ix.sPos, ix.tPos = pos[q.S], pos[q.T]
 	ix.buildForward(distT, pos)
-	ix.buildReverse(pos)
+	ix.buildReverse()
 	ix.collectStats()
 	return ix
 }

@@ -174,79 +174,54 @@ func (ix *Index) buildForward(distT, pos []int32) {
 }
 
 // buildReverse fills the mirrored in-neighbor lists sorted by w.s. The edge
-// set is identical to the forward one: this is only a second access path.
-func (ix *Index) buildReverse(pos []int32) {
-	g, q, k := ix.g, ix.q, ix.k
+// set is the forward one, so the lists are its transpose: a counting sort
+// of the forward edges keyed by (target, source w.s). Sources are placed
+// from the highest position down, each at the end of its bucket, so every
+// bucket comes out in ascending position with the (t,t) loop, placed
+// first, last in t's bucket.
+func (ix *Index) buildReverse() {
+	k := ix.k
 	m := len(ix.verts)
-	k32 := int32(k)
-
-	// source returns the position of w when w -> v is a forward index edge
-	// (w in X - {t}, v != s, w.s + v.t + 1 <= k), and -1 otherwise.
-	source := func(p int, v, w graph.VertexID) int32 {
-		if w == q.T {
-			return -1
+	stride := k + 2
+	ix.revOff = make([]int32, m*stride)
+	// revOff[p*stride+d+1] counts p's sources with w.s = d, then accumulates
+	// into the end of bucket d.
+	for p := range m {
+		d := ix.vs[p] + 1
+		for _, x := range ix.fwdNbrs[ix.fwdBase[p]:ix.fwdBase[p+1]] {
+			ix.revOff[int(x)*stride+int(d)]++
 		}
-		wp := pos[w]
-		if wp < 0 {
-			return -1
-		}
-		if ix.pred != nil && !ix.pred(w, v) {
-			return -1
-		}
-		if ix.vs[wp]+ix.vt[p]+1 > k32 {
-			return -1
-		}
-		return wp
 	}
-
 	ix.revBase = make([]int64, m+1)
-	for p, v := range ix.verts {
-		cnt := int64(0)
-		if v != q.S {
-			for _, w := range g.InNeighbors(v) {
-				if source(p, v, w) >= 0 {
-					cnt++
-				}
-			}
-			if v == q.T {
-				cnt++ // the (t,t) loop
-			}
+	for p := range m {
+		off := ix.revOff[p*stride : (p+1)*stride]
+		for d := 1; d < stride; d++ {
+			off[d] += off[d-1]
 		}
-		ix.revBase[p+1] = ix.revBase[p] + cnt
+		ix.revBase[p+1] = ix.revBase[p] + int64(off[stride-1])
 	}
 	ix.revNbrs = make([]int32, ix.revBase[m])
-	ix.revOff = make([]int32, m*(k+2))
-
-	var buckets [][]int32
-	for p, v := range ix.verts {
-		off := ix.revOff[p*(k+2) : (p+1)*(k+2)]
-		base := ix.revBase[p]
-		if v == q.S {
-			continue // no in-edges; off stays all zero
+	place := func(src, dst int32) {
+		off := ix.revOff[int(dst)*stride:]
+		d := ix.vs[src] + 1
+		off[d]--
+		ix.revNbrs[ix.revBase[dst]+int64(off[d])] = src
+	}
+	place(ix.tPos, ix.tPos)
+	for p := int32(m) - 1; p >= 0; p-- {
+		if p == ix.tPos {
+			continue
 		}
-		if buckets == nil {
-			buckets = make([][]int32, k+1)
+		for _, x := range ix.fwdNbrs[ix.fwdBase[p]:ix.fwdBase[p+1]] {
+			place(p, x)
 		}
-		for d := range buckets {
-			buckets[d] = buckets[d][:0]
-		}
-		for _, w := range g.InNeighbors(v) {
-			if wp := source(p, v, w); wp >= 0 {
-				buckets[ix.vs[wp]] = append(buckets[ix.vs[wp]], wp)
-			}
-		}
-		if v == q.T {
-			// t.s is the s->t distance; the loop joins t's own bucket.
-			buckets[ix.vs[p]] = append(buckets[ix.vs[p]], ix.tPos)
-		}
-		cursor := base
-		for d := 0; d <= k; d++ {
-			for _, w := range buckets[d] {
-				ix.revNbrs[cursor] = w
-				cursor++
-			}
-			off[d+1] = int32(cursor - base)
-		}
+	}
+	// Placing moved each bucket's end down to its start, one slot to the
+	// right of where the prefix counts keep it: shift back.
+	for p := range m {
+		off := ix.revOff[p*stride : (p+1)*stride]
+		copy(off[1:], off[2:])
+		off[stride-1] = int32(ix.revBase[p+1] - ix.revBase[p])
 	}
 }
 

@@ -54,6 +54,16 @@ func ownedEmit(ctl RunControl) RunControl {
 	return ctl
 }
 
+// shardSlot is one shard's private state in runShards, padded to 128 bytes
+// so that no two shards' counters share a cache line: a shard writes them
+// on every edge and path, and shards sharing a line serialize on it.
+type shardSlot struct {
+	ctr       Counters
+	pending   uint64 // counting with a limit: results not yet added to the shared count
+	completed bool
+	_         [128 - 40]byte
+}
+
 // runShards fans run across nShards goroutines and merges their
 // deliveries under ctl's contract. Each shard receives its index, a
 // shard-local RunControl (Emit delivering into the merge, ShouldStop
@@ -66,10 +76,10 @@ func ownedEmit(ctl RunControl) RunControl {
 //
 // Counter aggregation: EdgesAccessed and InvalidPartials are summed from
 // the shard-local counters exactly once each. Results is owned by
-// whoever observed the deliveries — the merge loop when Emit is set, an
-// atomic delivery counter clamped to Limit in counting-with-limit mode,
-// and the shard-local sums when free-running — so on completed runs it
-// equals the sequential count exactly.
+// whoever observed the deliveries — the merge loop when Emit is set, a
+// shared count clamped to Limit in counting-with-limit mode, and the
+// shard-local sums when free-running — so on completed runs it equals
+// the sequential count exactly.
 func runShards(nShards int, ctl RunControl, ctr *Counters, run func(shard int, sctl RunControl, sctr *Counters) bool) bool {
 	done := make(chan struct{})
 	var stopOnce sync.Once
@@ -87,51 +97,57 @@ func runShards(nShards int, ctl RunControl, ctr *Counters, run func(shard int, s
 		return ctl.ShouldStop != nil && ctl.ShouldStop()
 	}
 
-	counters := make([]Counters, nShards)
-	completed := make([]bool, nShards)
+	slots := make([]shardSlot, nShards)
 	var wg sync.WaitGroup
 
 	if ctl.Emit == nil {
-		// Counting modes: no paths cross goroutines. With a Limit, a shared
-		// atomic assigns each result a delivery number; numbers past the
-		// limit are refused shard-side (the shard stops) and clamped out of
-		// the aggregate, so Results is exact — never limit+nShards-1.
+		// Counting modes: no paths cross goroutines. With a Limit, a shard
+		// adds its results to a shared count in blocks of up to chunkMax and
+		// stops everyone once the count reaches the limit. Blocks are
+		// committed, not reserved, so the run never stops short of the limit;
+		// the overshoot (under a block per shard) is clamped out of Results,
+		// which is therefore exact, and a run whose total reaches the limit
+		// reports incomplete exactly like the sequential one.
 		var delivered atomic.Uint64
 		limit := ctl.Limit
+		block := min(limit, chunkMax)
 		for i := 0; i < nShards; i++ {
 			wg.Add(1)
-			go func(i int) {
+			go func(sl *shardSlot, i int) {
 				defer wg.Done()
 				sctl := RunControl{ShouldStop: stopper}
 				if limit > 0 {
-					sctl.Emit = func([]graph.VertexID) bool {
-						n := delivered.Add(1)
-						if n >= limit {
-							stop()
-							return false
-						}
-						return true
+					commit := func() bool {
+						n := delivered.Add(sl.pending)
+						sl.pending = 0
+						return n < limit
 					}
+					sctl.Emit = func([]graph.VertexID) bool {
+						if sl.pending++; sl.pending < block || commit() {
+							return true
+						}
+						stop()
+						return false
+					}
+					defer commit()
 				}
-				completed[i] = run(i, sctl, &counters[i])
-			}(i)
+				sl.completed = run(i, sctl, &sl.ctr)
+			}(&slots[i], i)
 		}
 		wg.Wait()
 		all := true
-		for i := range counters {
-			ctr.EdgesAccessed += counters[i].EdgesAccessed
-			ctr.InvalidPartials += counters[i].InvalidPartials
+		for i := range slots {
+			ctr.EdgesAccessed += slots[i].ctr.EdgesAccessed
+			ctr.InvalidPartials += slots[i].ctr.InvalidPartials
 			if limit == 0 {
-				ctr.Results += counters[i].Results
+				ctr.Results += slots[i].ctr.Results
 			}
-			all = all && completed[i]
+			all = all && slots[i].completed
 		}
 		if limit > 0 {
 			n := delivered.Load()
-			if n > limit {
-				n = limit
-			}
-			ctr.Results += n
+			all = all && n < limit
+			ctr.Results += min(n, limit)
 		}
 		return all
 	}
@@ -144,7 +160,7 @@ func runShards(nShards int, ctl RunControl, ctr *Counters, run func(shard int, s
 	ch := make(chan [][]graph.VertexID)
 	for i := 0; i < nShards; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(sl *shardSlot, i int) {
 			defer wg.Done()
 			target := 1
 			buf := make([][]graph.VertexID, 0, 1)
@@ -174,9 +190,9 @@ func runShards(nShards int, ctl RunControl, ctr *Counters, run func(shard int, s
 					return flush()
 				},
 			}
-			completed[i] = run(i, sctl, &counters[i])
+			sl.completed = run(i, sctl, &sl.ctr)
 			flush() // deliver the partial tail chunk (dropped if stopping)
-		}(i)
+		}(&slots[i], i)
 	}
 	go func() {
 		wg.Wait()
@@ -210,10 +226,10 @@ func runShards(nShards int, ctl RunControl, ctr *Counters, run func(shard int, s
 	// The channel is closed: every shard has exited and its counters and
 	// completion flag are settled (the close orders the reads).
 	all := !stopped
-	for i := range counters {
-		ctr.EdgesAccessed += counters[i].EdgesAccessed
-		ctr.InvalidPartials += counters[i].InvalidPartials
-		all = all && completed[i]
+	for i := range slots {
+		ctr.EdgesAccessed += slots[i].ctr.EdgesAccessed
+		ctr.InvalidPartials += slots[i].ctr.InvalidPartials
+		all = all && slots[i].completed
 	}
 	return all
 }

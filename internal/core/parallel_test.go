@@ -201,6 +201,43 @@ func TestParallelLimitAtMergePoint(t *testing.T) {
 	}
 }
 
+// TestParallelCountingLimitAcrossBlocks: counting mode adds shard results
+// to the shared count in blocks, and the limit must still be exact at and
+// around every block edge — Results and Completed equal the sequential
+// run's whether the limit falls inside a block, on its edge, one short of
+// the total, on the total or past it.
+func TestParallelCountingLimitAcrossBlocks(t *testing.T) {
+	g, q := layeredGraph(t, 5, 4) // 625 paths
+	ix, err := BuildIndex(g, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all Counters
+	EnumerateDFS(ix, RunControl{}, &all)
+	total := all.Results
+	for _, limit := range []uint64{1, 255, 256, 257, total - 1, total, total + 1} {
+		var seq Counters
+		seqDone := EnumerateDFS(ix, RunControl{Limit: limit}, &seq)
+		for _, par := range []int{2, 4, 8} {
+			var ctr Counters
+			done := EnumerateDFSParallel(ix, par, RunControl{Limit: limit}, &ctr)
+			if done != seqDone || ctr.Results != seq.Results {
+				t.Errorf("DFS limit %d parallel(%d): done=%v results=%d, sequential done=%v results=%d",
+					limit, par, done, ctr.Results, seqDone, seq.Results)
+			}
+			var jctr Counters
+			jdone, err := EnumerateJoinSideParallel(ix, 2, BuildLeft, par, RunControl{Limit: limit}, &jctr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jdone != seqDone || jctr.Results != seq.Results {
+				t.Errorf("join limit %d parallel(%d): done=%v results=%d, sequential done=%v results=%d",
+					limit, par, jdone, jctr.Results, seqDone, seq.Results)
+			}
+		}
+	}
+}
+
 // TestParallelStreamCancel: cancelling the consumer's context mid-stream
 // ends a parallel stream early without an error, with OnResult reporting
 // Completed == false — the sequential stream's cancellation contract.

@@ -13,6 +13,12 @@
 // validation pass is needed. Paths of any other owner shape (a third
 // shard, re-entering A, multiple crossings) are the remainder class the
 // engine routes through filtered full-image execution.
+//
+// Per-query state follows the query, not the partition: a run touches the
+// vertices its hop budget reaches and the cut edges out of the prefixes it
+// builds. Its |V| arrays live in a pooled crossJoin, hold their unset
+// value between runs and are restored from the run's touched lists (the
+// scheme of core's bfsScratch); the build side is one flat vertex slice.
 package shard
 
 import (
@@ -23,33 +29,78 @@ import (
 	"pathenum/internal/graph"
 )
 
-// crossJoin is one boundary-join execution. Emit receives each joined
-// path s..t in a reused buffer (copy to retain) and returns false to stop
-// the run.
-type crossJoin struct {
+// seamQuery is what one boundary join runs on: the captured images, the
+// cut list A→B, the query and its delivery and stop conditions.
+type seamQuery struct {
 	gA, gB *graph.Graph
-	cuts   []graph.Edge // A→B cut edges
+	// full is the full image, whose out-adjacency of an A vertex holds its
+	// cut edges: those with owners[v] == b are the A→B ones.
+	full   *graph.Graph
+	owners []int32
+	b      int32
+	cuts   []graph.Edge // A→B cut edges: their sources seed the crossing bound
 	s, t   graph.VertexID
 	k      int
 	pred   core.EdgePredicate
-	emit   func(path []graph.VertexID) bool
+	// emit receives each joined path s..t in a reused buffer (copy to
+	// retain) and returns false to stop the run.
+	emit func(path []graph.VertexID) bool
 
 	ctx      context.Context
 	deadline time.Time // zero = none
-
-	// Results, filled by run.
-	counters core.Counters
-	stats    core.JoinStats
-	stopped  bool // emit returned false, ctx done, or deadline hit
-
-	tick uint64
 }
 
-// leftTuple is one materialized prefix: s..u plus the cut edge's target
-// boundary vertex v (verts ends with v), hops edges long.
-type leftTuple struct {
-	verts []graph.VertexID
-	hops  int
+// crossJoin is one boundary-join execution together with the scratch it
+// runs on. It is pooled per Engine and not safe for concurrent use.
+type crossJoin struct {
+	seamQuery
+
+	// Results, filled by run.
+	counters  core.Counters
+	stats     core.JoinStats
+	labelTime time.Duration // distB and the crossing bound
+	visited   int           // vertices the two labelings touched
+	stopped   bool          // emit returned false, ctx done, or deadline hit
+	tick      uint64
+
+	// Scratch over the global id space. Between runs distB, lb and slot are
+	// -1 and onPath is false everywhere.
+	distB  []int32            // v→t hops inside G_B
+	bVis   []graph.VertexID   // vertices distB labeled, in BFS order
+	lb     []int32            // x→t hops through one crossing
+	lbLvl  [][]graph.VertexID // lb's bucket queue; every vertex lb labeled is in one
+	slot   []int32            // boundary vertex → its bucket
+	onPath []bool             // the prefix being built, then the suffix being probed
+
+	// The build side, flat: tuple i is the prefix s..u plus its boundary
+	// vertex v, verts[off[i]:off[i+1]]; next chains the tuples of a bucket.
+	// Bucket j collects the tuples ending at bound[j] (first-appearance
+	// order), starting at head[j]; minHops[j] is its shortest prefix.
+	verts   []graph.VertexID
+	off     []int32
+	next    []int32
+	bound   []graph.VertexID
+	head    []int32
+	minHops []int32
+
+	path, suffix, out []graph.VertexID
+}
+
+func newCrossJoin(n int) *crossJoin {
+	return &crossJoin{
+		distB:  minusOnes(n),
+		lb:     minusOnes(n),
+		slot:   minusOnes(n),
+		onPath: make([]bool, n),
+	}
+}
+
+func minusOnes(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = -1
+	}
+	return s
 }
 
 // shouldStop amortizes the context/deadline check over expansion events,
@@ -69,50 +120,22 @@ func (cj *crossJoin) shouldStop() bool {
 	return cj.stopped
 }
 
-// run executes the boundary join. Sequential and goroutine-free: the
+// run executes the boundary join for q. Sequential and goroutine-free: the
 // consumer's goroutine drives both sides, so an abandoned run leaks
-// nothing by construction.
-func (cj *crossJoin) run() {
+// nothing by construction. The results stay readable until the next run;
+// the scratch is clean again when run returns, however the run ended.
+func (cj *crossJoin) run(q seamQuery) {
+	cj.seamQuery = q
+	cj.counters, cj.stats, cj.labelTime, cj.visited = core.Counters{}, core.JoinStats{}, 0, 0
+	cj.stopped, cj.tick = false, 0
+	defer cj.reset()
 	if cj.k < 1 || len(cj.cuts) == 0 {
 		return
 	}
-	buildStart := time.Now()
-	defer func() {
-		if cj.stats.ProbeTime == 0 && cj.stats.BuildTime == 0 {
-			cj.stats.BuildTime = time.Since(buildStart)
-		}
-	}()
-
-	// distB: minimum hops v→t inside G_B, bounded by the suffix budget.
-	distB := cj.bwdBFS(cj.gB, cj.t, cj.k-1)
-
-	// Admissible cut edges u→v: v reaches t in G_B within budget and the
-	// predicate admits the edge. seed[u] is the cheapest single-crossing
-	// completion from u: 1 (the cut edge) + min distB over u's targets.
-	cutAdj := make(map[graph.VertexID][]graph.VertexID)
-	seed := make(map[graph.VertexID]int)
-	for _, e := range cj.cuts {
-		d := distB[e.To]
-		if d < 0 || 1+int(d) > cj.k {
-			continue
-		}
-		if cj.pred != nil && !cj.pred(e.From, e.To) {
-			continue
-		}
-		cutAdj[e.From] = append(cutAdj[e.From], e.To)
-		if c, ok := seed[e.From]; !ok || 1+int(d) < c {
-			seed[e.From] = 1 + int(d)
-		}
-	}
-	if len(cutAdj) == 0 {
-		return
-	}
-
-	// lb[x]: minimum hops x→t through a single crossing — a multi-source
-	// backward bucket BFS over G_A from the seeded cut sources. Prunes the
-	// prefix DFS exactly like the per-query index's backward labeling.
-	lb := cj.crossingBound(seed)
-	if lb[cj.s] < 0 || int(lb[cj.s]) > cj.k {
+	start := time.Now()
+	cj.label()
+	cj.labelTime = time.Since(start)
+	if d := cj.lb[cj.s]; d < 0 || int(d) > cj.k {
 		return
 	}
 
@@ -120,58 +143,19 @@ func (cj *crossJoin) run() {
 	// (prefix, cut edge) pair, bucketed by boundary vertex in first-
 	// appearance order — the probe visits boundary vertices in the order
 	// the build discovered them, so early tuples join early.
-	n := cj.gA.NumVertices()
-	var (
-		tuples  []leftTuple
-		buckets = make(map[graph.VertexID][]int32)
-		order   []graph.VertexID
-	)
-	onPath := make([]bool, n)
-	path := make([]graph.VertexID, 1, cj.k+1)
-	path[0] = cj.s
-	onPath[cj.s] = true
-	var build func(u graph.VertexID, depth int)
-	build = func(u graph.VertexID, depth int) {
-		if cj.shouldStop() {
-			return
-		}
-		for _, v := range cutAdj[u] {
-			// Per-target feasibility: this tuple joins some suffix iff
-			// depth + 1 + distB[v] <= k.
-			if depth+1+int(distB[v]) > cj.k {
-				continue
-			}
-			verts := make([]graph.VertexID, depth+2)
-			copy(verts, path)
-			verts[depth+1] = v
-			if _, seen := buckets[v]; !seen {
-				order = append(order, v)
-			}
-			buckets[v] = append(buckets[v], int32(len(tuples)))
-			tuples = append(tuples, leftTuple{verts: verts, hops: depth + 1})
-			cj.stats.PartialBytes += int64(len(verts)) * 4
-		}
-		for _, w := range cj.gA.OutNeighbors(u) {
-			cj.counters.EdgesAccessed++
-			if onPath[w] || lb[w] < 0 || depth+1+int(lb[w]) > cj.k {
-				continue
-			}
-			if cj.pred != nil && !cj.pred(u, w) {
-				continue
-			}
-			onPath[w] = true
-			path = append(path, w)
-			build(w, depth+1)
-			path = path[:len(path)-1]
-			onPath[w] = false
-		}
-	}
-	build(cj.s, 0)
+	buildStart := time.Now()
+	cj.off = append(cj.off, 0)
+	cj.path = append(cj.path, cj.s)
+	cj.onPath[cj.s] = true
+	cj.build(cj.s, 0)
+	cj.onPath[cj.s] = false
+	tuples := int64(len(cj.off) - 1)
 	cj.stats.BuildLeft = true
-	cj.stats.BuildTuples = int64(len(tuples))
-	cj.stats.LeftTuples = int64(len(tuples))
+	cj.stats.BuildTuples = tuples
+	cj.stats.LeftTuples = tuples
+	cj.stats.PartialBytes = int64(len(cj.verts)) * 4
 	cj.stats.BuildTime = time.Since(buildStart)
-	if cj.stopped || len(tuples) == 0 {
+	if cj.stopped || tuples == 0 {
 		return
 	}
 
@@ -181,144 +165,244 @@ func (cj *crossJoin) run() {
 	// advances — first-path latency is one prefix plus one suffix, not a
 	// materialized half side.
 	probeStart := time.Now()
-	defer func() { cj.stats.ProbeTime = time.Since(probeStart) }()
-	onPathB := make([]bool, n)
-	suffix := make([]graph.VertexID, 0, cj.k+1)
-	out := make([]graph.VertexID, 0, cj.k+1)
-	for _, v := range order {
-		idxs := buckets[v]
-		minHops := tuples[idxs[0]].hops
-		for _, i := range idxs[1:] {
-			if h := tuples[i].hops; h < minHops {
-				minHops = h
+	for j, v := range cj.bound {
+		cj.suffix = append(cj.suffix[:0], v)
+		cj.onPath[v] = true
+		cj.probe(int32(j), v, 0, cj.k-int(cj.minHops[j]))
+		cj.onPath[v] = false
+		if cj.stopped {
+			break
+		}
+	}
+	cj.stats.RightTuples = cj.stats.ProbeWalks
+	cj.stats.ProbeTime = time.Since(probeStart)
+}
+
+// label computes the two labelings that prune the join. distB[v] is the
+// minimum hops v→t inside G_B. lb[x] is the minimum hops x→t through a
+// single crossing: a multi-source backward bucket BFS over G_A from the
+// sources of the admissible cut edges, each seeded at its cheapest
+// completion (the cut edge plus distB of its target), levels settling in
+// ascending order so lb is exact. It prunes the prefix DFS exactly like
+// the per-query index's backward labeling.
+//
+// Both stop a level short of the budget, where the outermost level — the
+// widest — is of use at one place only. A suffix of k-1 hops needs a
+// one-hop prefix, so distB = k-1 matters only at the targets of s's cut
+// edges; a crossing bound of k needs an empty prefix, so lb = k matters
+// only at s. Those few labels are read off their neighbours instead.
+func (cj *crossJoin) label() {
+	k := cj.k
+	cj.distB[cj.t] = 0
+	cj.bVis = append(cj.bVis, cj.t)
+	for lo, d := 0, int32(1); lo < len(cj.bVis) && int(d) <= k-2; d++ {
+		hi := len(cj.bVis)
+		for _, u := range cj.bVis[lo:hi] {
+			nbrs := cj.gB.InNeighbors(u)
+			cj.counters.EdgesAccessed += uint64(len(nbrs))
+			for _, w := range nbrs {
+				if cj.distB[w] >= 0 || cj.pred != nil && !cj.pred(w, u) {
+					continue
+				}
+				cj.distB[w] = d
+				cj.bVis = append(cj.bVis, w)
 			}
 		}
-		budget := cj.k - minHops // max suffix edges any tuple at v affords
-		suffix = append(suffix[:0], v)
-		onPathB[v] = true
-		var probe func(w graph.VertexID, r int)
-		probe = func(w graph.VertexID, r int) {
-			if cj.shouldStop() {
-				return
+		lo = hi
+	}
+	if k >= 2 {
+		// An unlabeled v with a labeled out-neighbour w has distB[w] = k-2.
+		for _, v := range cj.full.OutNeighbors(cj.s) {
+			if cj.owners[v] != cj.b || cj.distB[v] >= 0 {
+				continue
 			}
-			if w == cj.t {
-				// A simple path visits t only at its end, so the walk never
-				// expands past t: emit the joins and return.
-				cj.stats.ProbeWalks++
-				for _, i := range idxs {
-					if tuples[i].hops+r > cj.k {
-						continue
-					}
-					out = append(out[:0], tuples[i].verts...)
-					out = append(out, suffix[1:]...)
-					cj.counters.Results++
-					if !cj.emit(out) {
-						cj.stopped = true
-						return
-					}
-				}
-				return
-			}
-			for _, w2 := range cj.gB.OutNeighbors(w) {
-				cj.counters.EdgesAccessed++
-				if onPathB[w2] {
-					continue
-				}
-				if d := distB[w2]; d < 0 || r+1+int(d) > budget {
-					continue
-				}
-				if cj.pred != nil && !cj.pred(w, w2) {
-					continue
-				}
-				onPathB[w2] = true
-				suffix = append(suffix, w2)
-				probe(w2, r+1)
-				suffix = suffix[:len(suffix)-1]
-				onPathB[w2] = false
-				if cj.stopped {
-					return
+			for _, w := range cj.gB.OutNeighbors(v) {
+				if cj.distB[w] >= 0 && (cj.pred == nil || cj.pred(v, w)) {
+					cj.distB[v] = int32(k - 1)
+					cj.bVis = append(cj.bVis, v)
+					break
 				}
 			}
 		}
-		probe(v, 0)
-		onPathB[v] = false
+	}
+	cj.visited = len(cj.bVis)
+
+	if len(cj.lbLvl) < k+1 {
+		cj.lbLvl = make([][]graph.VertexID, k+1)
+	}
+	cj.counters.EdgesAccessed += uint64(len(cj.cuts))
+	for _, e := range cj.cuts {
+		d := cj.distB[e.To]
+		if d < 0 || cj.pred != nil && !cj.pred(e.From, e.To) {
+			continue
+		}
+		cj.pushLB(e.From, 1+int(d))
+	}
+	for c := 0; c < k-1; c++ {
+		for i := 0; i < len(cj.lbLvl[c]); i++ { // pushLB may grow later levels only
+			u := cj.lbLvl[c][i]
+			if int(cj.lb[u]) != c {
+				continue // settled at a smaller level
+			}
+			nbrs := cj.gA.InNeighbors(u)
+			cj.counters.EdgesAccessed += uint64(len(nbrs))
+			for _, w := range nbrs {
+				if cj.pred == nil || cj.pred(w, u) {
+					cj.pushLB(w, c+1)
+				}
+			}
+		}
+	}
+	for _, w := range cj.gA.OutNeighbors(cj.s) {
+		if l := cj.lb[w]; l >= 0 && (cj.pred == nil || cj.pred(cj.s, w)) {
+			cj.pushLB(cj.s, int(l)+1)
+		}
+	}
+}
+
+// pushLB offers cost c for u to the crossing bound's bucket queue.
+func (cj *crossJoin) pushLB(u graph.VertexID, c int) {
+	switch {
+	case c > cj.k || c == cj.k && u != cj.s:
+		return
+	case cj.lb[u] < 0:
+		cj.visited++
+	case int(cj.lb[u]) <= c:
+		return
+	}
+	cj.lb[u] = int32(c)
+	cj.lbLvl[c] = append(cj.lbLvl[c], u)
+}
+
+// build extends the prefix ending at u, depth edges long: first the
+// tuples of u's admissible cut edges — a target v joins some suffix iff
+// depth + 1 + distB[v] <= k — then the A-internal steps the crossing bound
+// keeps within budget.
+func (cj *crossJoin) build(u graph.VertexID, depth int) {
+	if cj.shouldStop() {
+		return
+	}
+	out := cj.full.OutNeighbors(u)
+	cj.counters.EdgesAccessed += uint64(len(out))
+	for _, v := range out {
+		if cj.owners[v] != cj.b {
+			continue
+		}
+		if d := cj.distB[v]; d < 0 || depth+1+int(d) > cj.k {
+			continue
+		}
+		if cj.pred != nil && !cj.pred(u, v) {
+			continue
+		}
+		cj.addTuple(v, depth+1)
+	}
+	nbrs := cj.gA.OutNeighbors(u)
+	cj.counters.EdgesAccessed += uint64(len(nbrs))
+	for _, w := range nbrs {
+		if cj.onPath[w] || cj.lb[w] < 0 || depth+1+int(cj.lb[w]) > cj.k {
+			continue
+		}
+		if cj.pred != nil && !cj.pred(u, w) {
+			continue
+		}
+		cj.onPath[w] = true
+		cj.path = append(cj.path, w)
+		cj.build(w, depth+1)
+		cj.path = cj.path[:len(cj.path)-1]
+		cj.onPath[w] = false
+	}
+}
+
+// addTuple records the current prefix plus boundary vertex v, hops edges
+// long, in v's bucket.
+func (cj *crossJoin) addTuple(v graph.VertexID, hops int) {
+	j := cj.slot[v]
+	if j < 0 {
+		j = int32(len(cj.bound))
+		cj.slot[v] = j
+		cj.bound = append(cj.bound, v)
+		cj.head = append(cj.head, -1)
+		cj.minHops = append(cj.minHops, int32(hops))
+	}
+	cj.minHops[j] = min(cj.minHops[j], int32(hops))
+	cj.verts = append(append(cj.verts, cj.path...), v)
+	cj.next = append(cj.next, cj.head[j])
+	cj.head[j] = int32(len(cj.off) - 1)
+	cj.off = append(cj.off, int32(len(cj.verts)))
+}
+
+// probe extends the suffix ending at w, r edges long, inside G_B; budget
+// is the most suffix edges any tuple of bucket j affords.
+func (cj *crossJoin) probe(j int32, w graph.VertexID, r, budget int) {
+	if cj.shouldStop() {
+		return
+	}
+	if w == cj.t {
+		// A simple path visits t only at its end, so the walk never
+		// expands past t: emit the joins and return.
+		cj.stats.ProbeWalks++
+		for i := cj.head[j]; i >= 0; i = cj.next[i] {
+			prefix := cj.verts[cj.off[i]:cj.off[i+1]]
+			if len(prefix)-1+r > cj.k {
+				continue
+			}
+			cj.out = append(append(cj.out[:0], prefix...), cj.suffix[1:]...)
+			cj.counters.Results++
+			if !cj.emit(cj.out) {
+				cj.stopped = true
+				return
+			}
+		}
+		return
+	}
+	nbrs := cj.gB.OutNeighbors(w)
+	cj.counters.EdgesAccessed += uint64(len(nbrs))
+	for _, w2 := range nbrs {
+		if cj.onPath[w2] {
+			continue
+		}
+		if d := cj.distB[w2]; d < 0 || r+1+int(d) > budget {
+			continue
+		}
+		if cj.pred != nil && !cj.pred(w, w2) {
+			continue
+		}
+		cj.onPath[w2] = true
+		cj.suffix = append(cj.suffix, w2)
+		cj.probe(j, w2, r+1, budget)
+		cj.suffix = cj.suffix[:len(cj.suffix)-1]
+		cj.onPath[w2] = false
 		if cj.stopped {
 			return
 		}
 	}
-	cj.stats.RightTuples = cj.stats.ProbeWalks
 }
 
-// bwdBFS is a predicate-aware backward BFS from origin over g, bounded at
-// maxDepth: dist[v] is the minimum edges v→origin, -1 when unreachable
-// within the bound.
-func (cj *crossJoin) bwdBFS(g *graph.Graph, origin graph.VertexID, maxDepth int) []int32 {
-	dist := make([]int32, g.NumVertices())
-	for i := range dist {
-		dist[i] = -1
+// reset restores the scratch from the run's touched lists and drops the
+// run's references, so the pool pins no graph and no callback.
+func (cj *crossJoin) reset() {
+	// The walks clear onPath as they unwind; only a panic in emit can
+	// leave the current prefix and suffix set.
+	for _, v := range cj.path {
+		cj.onPath[v] = false
 	}
-	dist[origin] = 0
-	if maxDepth < 1 {
-		return dist
+	for _, v := range cj.suffix {
+		cj.onPath[v] = false
 	}
-	frontier := []graph.VertexID{origin}
-	for d := int32(1); len(frontier) > 0 && d <= int32(maxDepth); d++ {
-		var next []graph.VertexID
-		for _, u := range frontier {
-			for _, w := range g.InNeighbors(u) {
-				cj.counters.EdgesAccessed++
-				if dist[w] >= 0 {
-					continue
-				}
-				if cj.pred != nil && !cj.pred(w, u) {
-					continue
-				}
-				dist[w] = d
-				next = append(next, w)
-			}
+	for _, v := range cj.bVis {
+		cj.distB[v] = -1
+	}
+	for c, lvl := range cj.lbLvl {
+		for _, v := range lvl {
+			cj.lb[v] = -1
 		}
-		frontier = next
+		cj.lbLvl[c] = lvl[:0]
 	}
-	return dist
-}
-
-// crossingBound runs the multi-source backward bucket BFS over G_A: each
-// cut source u starts at its seed cost (cut edge + cheapest suffix), and
-// levels settle in ascending order so lb[x] is the exact minimum hops
-// x→t using one crossing.
-func (cj *crossJoin) crossingBound(seed map[graph.VertexID]int) []int32 {
-	lb := make([]int32, cj.gA.NumVertices())
-	for i := range lb {
-		lb[i] = -1
+	for _, v := range cj.bound {
+		cj.slot[v] = -1
 	}
-	buckets := make([][]graph.VertexID, cj.k+1)
-	push := func(u graph.VertexID, c int) {
-		if c > cj.k {
-			return
-		}
-		if lb[u] >= 0 && int(lb[u]) <= c {
-			return
-		}
-		lb[u] = int32(c)
-		buckets[c] = append(buckets[c], u)
-	}
-	for u, c := range seed {
-		push(u, c)
-	}
-	for c := 0; c <= cj.k; c++ {
-		for i := 0; i < len(buckets[c]); i++ { // push may grow later buckets only
-			u := buckets[c][i]
-			if int(lb[u]) != c {
-				continue // settled at a smaller level
-			}
-			for _, w := range cj.gA.InNeighbors(u) {
-				cj.counters.EdgesAccessed++
-				if cj.pred != nil && !cj.pred(w, u) {
-					continue
-				}
-				push(w, c+1)
-			}
-		}
-	}
-	return lb
+	cj.bVis, cj.verts, cj.off, cj.next = cj.bVis[:0], cj.verts[:0], cj.off[:0], cj.next[:0]
+	cj.bound, cj.head, cj.minHops = cj.bound[:0], cj.head[:0], cj.minHops[:0]
+	cj.path, cj.suffix = cj.path[:0], cj.suffix[:0]
+	cj.seamQuery = seamQuery{}
 }

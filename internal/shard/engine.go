@@ -80,6 +80,13 @@ type Engine struct {
 	// these gauges track them so PoolStats covers every in-flight query.
 	inFlight atomic.Int64
 	inShards atomic.Int64
+
+	// Per-query state of the phased routes, pooled: seam-join scratch
+	// (*crossJoin) and the sessions the sub-image and full-image phases run
+	// on (*core.Session, rebound to the captured graph at checkout). Every
+	// image spans the global id space, so one pool serves them all.
+	seams    sync.Pool
+	sessions sync.Pool
 }
 
 // New builds a sharded engine: g is split into shards edge-cut
@@ -548,6 +555,29 @@ func (e *Engine) runPhased(ctx context.Context, v *view, r route, req pathenum.R
 		}
 	}
 
+	// Both session phases run one pooled session, rebound per phase to the
+	// captured image; it goes back to the pool once no stream holds it.
+	var sess *core.Session
+	defer func() {
+		if sess != nil {
+			e.sessions.Put(sess)
+		}
+	}()
+	// phase streams q on g with the phase's options: the delivery mode of
+	// the request, the Result into *res.
+	phase := func(g *graph.Graph, opts core.Options, res **pathenum.Result) iter.Seq2[pathenum.Path, error] {
+		if sess == nil {
+			if s, ok := e.sessions.Get().(*core.Session); ok {
+				sess = s
+			} else {
+				sess = core.NewSession(g, nil)
+			}
+		}
+		sess.Bind(g, nil)
+		sc := core.StreamConfig{Buffer: req.Buffer, OnResult: func(r *pathenum.Result) { *res = r }}
+		return sess.StreamWith(ctx, req.Query(), opts, sc)
+	}
+
 	switch r.kind {
 	case routeIntra:
 		// Phase A: all paths confined to the owner's sub-image. Every
@@ -557,13 +587,11 @@ func (e *Engine) runPhased(ctx context.Context, v *view, r route, req pathenum.R
 			combined.Completed = false
 			return
 		}
-		phaseReq := requestFrom(req.Query(), merged)
-		phaseReq.Oracle = nil // merged oracle is version-bound to the full image
-		phaseReq.Timeout = d
-		phaseReq.Buffer = req.Buffer
+		opts := merged
+		opts.Oracle = nil // merged oracle is version-bound to the full image
+		opts.Timeout = d
 		var pres *pathenum.Result
-		phaseReq.OnResult = func(r *pathenum.Result) { pres = r }
-		for p, serr := range pathenum.Stream(ctx, v.subs[r.a], phaseReq) {
+		for p, serr := range phase(v.subs[r.a], opts, &pres) {
 			if serr != nil {
 				combined.Completed = false
 				yield(nil, serr)
@@ -580,18 +608,23 @@ func (e *Engine) runPhased(ctx context.Context, v *view, r route, req pathenum.R
 	case routeCross:
 		// Phase A: the boundary join over the single-crossing class.
 		var slab core.PathSlab
-		cj := &crossJoin{
-			gA: v.subs[r.a], gB: v.subs[r.b], cuts: v.cuts[r.a][r.b],
-			s: req.S, t: req.T, k: req.K,
-			pred: merged.Predicate, ctx: ctx, deadline: deadline,
-			emit: func(p []graph.VertexID) bool { return deliver(slab.Copy(p)) },
-		}
-		cj.run()
+		cj, sq := e.seam(v, r)
+		sq.s, sq.t, sq.k, sq.pred = req.S, req.T, req.K, merged.Predicate
+		sq.ctx, sq.deadline = ctx, deadline
+		sq.emit = func(p []graph.VertexID) bool { return deliver(slab.Copy(p)) }
+		cj.run(sq)
+		// The seam labeling is this route's BFS: it counts in Timings.BFS
+		// (inside Build, as core counts its labeling) and in BFSVisited.
 		combined.Plan.Method = core.MethodJoin
 		combined.JoinStats = cj.stats
 		combined.Counters.EdgesAccessed += cj.counters.EdgesAccessed
+		combined.Timings.BFS += cj.labelTime
+		combined.Timings.Build += cj.labelTime
 		combined.Timings.Enumerate += cj.stats.BuildTime + cj.stats.ProbeTime
-		if cj.stopped && !stopped {
+		combined.BFSVisited += cj.visited
+		joinStopped := cj.stopped
+		e.seams.Put(cj)
+		if joinStopped && !stopped {
 			combined.Completed = false // ctx or deadline ended the join early
 			return
 		}
@@ -610,18 +643,16 @@ func (e *Engine) runPhased(ctx context.Context, v *view, r route, req pathenum.R
 		return
 	}
 	e.m.fallbackRuns.Inc()
-	fullReq := requestFrom(req.Query(), merged)
-	fullReq.Limit = 0
-	fullReq.Timeout = d
-	fullReq.Buffer = req.Buffer
-	fullReq.Oracle = oracleFor(merged.Oracle, v.full)
-	if fullReq.Oracle == nil {
-		fullReq.Oracle = oracleFor(e.fallback.Oracle(), v.full)
+	opts := merged
+	opts.Limit = 0
+	opts.Timeout = d
+	opts.Oracle = oracleFor(merged.Oracle, v.full)
+	if opts.Oracle == nil {
+		opts.Oracle = oracleFor(e.fallback.Oracle(), v.full)
 	}
 	var fres *pathenum.Result
-	fullReq.OnResult = func(r *pathenum.Result) { fres = r }
 	keep := e.remainderFilter(r)
-	for p, serr := range pathenum.Stream(ctx, v.full, fullReq) {
+	for p, serr := range phase(v.full, opts, &fres) {
 		if serr != nil {
 			combined.Completed = false
 			yield(nil, serr)
@@ -635,6 +666,20 @@ func (e *Engine) runPhased(ctx context.Context, v *view, r route, req pathenum.R
 		}
 	}
 	mergeRes(fres)
+}
+
+// seam checks a crossJoin out of the pool for cross route r over the
+// captured view, with the part of its query the view decides; the caller
+// completes the query, runs it and puts the crossJoin back.
+func (e *Engine) seam(v *view, r route) (*crossJoin, seamQuery) {
+	cj, _ := e.seams.Get().(*crossJoin)
+	if n := v.full.NumVertices(); cj == nil || len(cj.distB) != n {
+		cj = newCrossJoin(n)
+	}
+	return cj, seamQuery{
+		gA: v.subs[r.a], gB: v.subs[r.b], full: v.full,
+		owners: e.owners, b: int32(r.b), cuts: v.cuts[r.a][r.b],
+	}
 }
 
 // remainderFilter returns the phase-B admission predicate: keep exactly
