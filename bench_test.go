@@ -7,10 +7,6 @@
 // The experiment benches run the same harness as cmd/benchpath at a scale
 // chosen so a single iteration stays in the hundreds of milliseconds; use
 // cmd/benchpath for full-size runs.
-//
-// This file lives in the external test package: internal/bench now
-// imports the root package (the shard experiment constructs engines), so
-// an in-package test file importing internal/bench would cycle.
 package pathenum_test
 
 import (

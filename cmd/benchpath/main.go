@@ -1,6 +1,8 @@
-// Command benchpath regenerates the paper's tables and figures on the
-// synthetic dataset registry and prints the reports recorded in
-// EXPERIMENTS.md.
+// Command benchpath regenerates the paper's tables and figures (§7 of
+// the paper) on the synthetic dataset registry and prints them as text
+// tables. `go run ./cmd/benchpath all` reproduces every one; DESIGN.md
+// explains the mechanisms they measure. The per-layer performance of this
+// implementation is measured by the benchmark/ module, not here.
 //
 // Usage:
 //
@@ -8,27 +10,15 @@
 //	benchpath table3 fig6 fig13      # several
 //	benchpath all                    # everything
 //	benchpath -scale 0.2 -queries 30 -timelimit 500ms table3
-//	benchpath -json parallel            # machine-readable JSON report
 //
 // Experiments: table3 table4 table5 table6 table7 fig6 fig7 fig8 fig9
-// fig10 fig12 fig13 fig16 fig17 fig18 ext parallel shard mem
+// fig10 fig12 fig13 fig16 fig17 fig18 ext
 // (fig10 covers figure 11; fig13 covers figures 14 and 15; ext is this
-// repository's extension ablation; parallel sweeps intra-query fan-out —
-// Options.Parallelism doubling 1, 2, ... up to -parallel — reporting
-// drain speedup and first-path latency per fan-out; shard runs
-// partition-aware intra and cross query classes through the sharded
-// engine at P=1/2/4 against an unsharded baseline on the same graph —
-// the P=1 overhead column prices the routing layer, the cross rows the
-// boundary join; mem sweeps EngineConfig.MemoryBudgetBytes from
-// unbudgeted down to a pathological 1 byte, hard-erroring if any
-// budgeted run's path counts diverge from the unbudgeted baseline or
-// the ledger ever exceeds the effective budget — the report carries
-// peak resident bytes, join-to-DFS fallbacks and refused cache
-// deposits per budget point).
+// repository's extension ablation: the landmark oracle, the reusable
+// session and the HPI offline index).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -62,9 +52,6 @@ var experiments = []struct {
 	{"fig17", func(c bench.Config) (renderable, error) { return bench.Fig17(c) }},
 	{"fig18", func(c bench.Config) (renderable, error) { return bench.Fig18(c) }},
 	{"ext", func(c bench.Config) (renderable, error) { return bench.Extensions(c) }},
-	{"parallel", func(c bench.Config) (renderable, error) { return bench.Parallel(c) }},
-	{"shard", func(c bench.Config) (renderable, error) { return bench.Shard(c) }},
-	{"mem", func(c bench.Config) (renderable, error) { return bench.Mem(c) }},
 }
 
 func main() {
@@ -75,8 +62,6 @@ func main() {
 		timeLimit = flag.Duration("timelimit", 2*time.Second, "per-query time limit")
 		datasets  = flag.String("datasets", "", "comma-separated dataset subset")
 		seed      = flag.Int64("seed", 42, "workload seed")
-		parallel  = flag.Int("parallel", 4, "maximum intra-query fan-out for the parallel experiment")
-		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON instead of rendered tables")
 	)
 	flag.Parse()
 	names := flag.Args()
@@ -92,7 +77,6 @@ func main() {
 	cfg.K = *k
 	cfg.TimeLimit = *timeLimit
 	cfg.Seed = *seed
-	cfg.Parallel = *parallel
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")
 	}
@@ -101,7 +85,7 @@ func main() {
 		names = names2()
 	}
 	for _, name := range names {
-		if err := runOne(name, cfg, *jsonOut); err != nil {
+		if err := runOne(name, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "benchpath:", err)
 			os.Exit(1)
 		}
@@ -116,7 +100,7 @@ func names2() []string {
 	return out
 }
 
-func runOne(name string, cfg bench.Config, jsonOut bool) error {
+func runOne(name string, cfg bench.Config) error {
 	for _, e := range experiments {
 		if e.name != name {
 			continue
@@ -125,23 +109,6 @@ func runOne(name string, cfg bench.Config, jsonOut bool) error {
 		res, err := e.run(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
-		}
-		if jsonOut {
-			// One self-describing JSON document per experiment: the shared
-			// schema/meta block (bench.SchemaVersion — the same schema
-			// cmd/loadpath emits), then the result struct verbatim under its
-			// name.
-			out, err := json.MarshalIndent(struct {
-				Experiment string        `json:"experiment"`
-				Meta       bench.RunMeta `json:"meta"`
-				ElapsedMs  int64         `json:"elapsed_ms"`
-				Result     interface{}   `json:"result"`
-			}{Experiment: name, Meta: cfg.Meta(), ElapsedMs: time.Since(start).Milliseconds(), Result: res}, "", "  ")
-			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			fmt.Println(string(out))
-			return nil
 		}
 		fmt.Println(res.Render())
 		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))

@@ -11,7 +11,9 @@ import (
 // TestEngineMemBudgetPathEquality: the budget changes residency and
 // plans, never answers — the same workload through budgets from tight to
 // a pathological 1 byte returns exactly the unbudgeted counts, across
-// several sampled workloads.
+// several sampled workloads, both fanned out over the pool and one query
+// at a time; in the sequential pass the ledger is read after every query
+// and must stay within the effective budget.
 func TestEngineMemBudgetPathEquality(t *testing.T) {
 	g := engineGraph()
 	scratch := int64(4) * core.SessionScratchBytes(g.NumVertices())
@@ -43,6 +45,29 @@ func TestEngineMemBudgetPathEquality(t *testing.T) {
 			if ms := e.MemStats(); ms.UsedBytes > ms.BudgetBytes {
 				t.Fatalf("seed %d budget %d: ledger %d exceeds effective budget %d",
 					seed, budget, ms.UsedBytes, ms.BudgetBytes)
+			}
+
+			// The same workload one query at a time on a cold engine, with
+			// the ledger read after every query: the budget must hold
+			// between deposits and fallbacks, not only once the pool has
+			// drained.
+			seq, err := NewEngine(g, EngineConfig{Workers: 4, MemoryBudgetBytes: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range queries {
+				res, err := seq.ExecuteWith(context.Background(), q, Options{})
+				if err != nil {
+					t.Fatalf("seed %d budget %d query %d (%v): %v", seed, budget, i, q, err)
+				}
+				if res.Counters.Results != want[i] {
+					t.Fatalf("seed %d budget %d query %d (%v): sequential budgeted %d, unbudgeted %d",
+						seed, budget, i, q, res.Counters.Results, want[i])
+				}
+				if ms := seq.MemStats(); ms.UsedBytes > ms.BudgetBytes {
+					t.Fatalf("seed %d budget %d after query %d: ledger %d exceeds effective budget %d",
+						seed, budget, i, ms.UsedBytes, ms.BudgetBytes)
+				}
 			}
 		}
 	}

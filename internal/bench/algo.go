@@ -2,7 +2,8 @@
 // figure of the paper's evaluation (§7) on the synthetic dataset registry:
 // per-query-set runs with time limits, the paper's metrics (query time,
 // throughput, response time, 99.9% latency, CDFs, per-phase breakdowns,
-// memory), and text renderers for the reports recorded in EXPERIMENTS.md.
+// memory), and text renderers for the reports that
+// `go run ./cmd/benchpath all` prints. DESIGN.md describes what they measure.
 package bench
 
 import (

@@ -407,34 +407,3 @@ func TestExtensionsSmall(t *testing.T) {
 		t.Fatal("HPI stats missing despite successful build")
 	}
 }
-
-// TestShardSmall: the sharded experiment runs, covers both classes at
-// P>1, keeps path parity with the baseline (enforced inside Shard), and
-// renders.
-func TestShardSmall(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Datasets = []string{"ep"}
-	res, err := Shard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	classes := map[string]bool{}
-	for _, row := range res.Rows {
-		classes[row.Class] = true
-		if row.P == 1 && row.Class != "intra" {
-			t.Fatalf("P=1 must be intra-only, got %q", row.Class)
-		}
-		if row.Queries == 0 {
-			t.Fatalf("empty row %+v", row)
-		}
-	}
-	if !classes["intra"] || !classes["cross"] {
-		t.Fatalf("classes covered: %v, want intra and cross", classes)
-	}
-	out := res.Render()
-	for _, want := range []string{"overhead", "cross", "intra"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -30,10 +30,6 @@ type Config struct {
 	Setting workload.Setting
 	// Seed drives workload sampling.
 	Seed int64
-	// Parallel is the maximum intra-query fan-out swept by the Parallel
-	// experiment (Options.Parallelism doubling 1, 2, ... up to this; 0
-	// defaults to 4).
-	Parallel int
 }
 
 // DefaultConfig returns the full-size laptop configuration used by
@@ -70,9 +66,6 @@ func (c Config) normalized() Config {
 	}
 	if c.ResponseK == 0 {
 		c.ResponseK = 1000
-	}
-	if c.Parallel <= 0 {
-		c.Parallel = 4
 	}
 	return c
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -98,13 +99,25 @@ func TestMetricsUnderConcurrency(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// Stop the workers before the test returns on any path, so none of
+	// them reports into a finished test.
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	// post runs on the worker goroutines: failures are t.Error, not
+	// t.Fatal.
 	post := func(path, body string) {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
+			t.Errorf("POST %s: %v", path, err)
 			return
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("POST %s %s: status %d", path, body, resp.StatusCode)
+		}
 	}
 	workloads := []func(){
 		func() { post("/query", `{"s":0,"t":3,"k":3,"paths":true}`) },
@@ -152,8 +165,6 @@ func TestMetricsUnderConcurrency(t *testing.T) {
 		}
 		lastRequests, lastPaths = total, snap["pathenum_paths_emitted_total"]
 	}
-	close(stop)
-	wg.Wait()
 }
 
 func TestReadyzLivenessSplit(t *testing.T) {
@@ -511,6 +522,180 @@ func TestReadyzShedsOnOracleLag(t *testing.T) {
 	lagged.lag = 0
 	if code, _ = getReady(); code != http.StatusOK {
 		t.Fatalf("recovered readyz = %d, want 200", code)
+	}
+}
+
+// TestServerMixedLoadWithOracleRebuilds drives the HTTP layer the way a
+// read/write deployment does: 8 clients send 40 requests each, drawn
+// 40/15/15/30 from /query, /paths, /batch and /insert, against an engine
+// whose every publishing insert schedules a background oracle rebuild,
+// so reads interleave with degraded windows (stale oracle dropped, fresh
+// one not yet installed). Every response must be 200 and every /paths
+// stream must close with a done line counting exactly the path lines it
+// carried. Once the writes and the last rebuild have settled, fixed
+// /query answers must equal pathenum.Count on the serving graph. CI runs
+// it under -race (the name matches Rebuild).
+func TestServerMixedLoadWithOracleRebuilds(t *testing.T) {
+	const (
+		clients  = 8
+		requests = 40
+		k        = 4
+		limit    = 1000
+	)
+	d, err := gen.Lookup("ep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Scale(0.1).Build()
+	engine, err := pathenum.NewEngine(g, pathenum.EngineConfig{Workers: 4, OracleLandmarks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := pathenum.BuildOracle(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := engine.SetOracle(oracle); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(engine, nil, Config{}).Handler())
+	t.Cleanup(ts.Close)
+	n := g.NumVertices()
+	pair := func(rng *rand.Rand) (int, int) {
+		s, x := rng.Intn(n), rng.Intn(n-1)
+		if x >= s {
+			x++
+		}
+		return s, x
+	}
+
+	// post returns the body of a 200 response; anything else is reported
+	// (t.Error: it runs on the client goroutines) and returns nil.
+	post := func(path, body string) []byte {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("POST %s: %v", path, err)
+			return nil
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Errorf("POST %s: reading body: %v", path, err)
+			return nil
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("POST %s %s: status %d: %s", path, body, resp.StatusCode, out)
+			return nil
+		}
+		return out
+	}
+	// checkStream verifies one /paths body: path lines, then exactly one
+	// done line whose count equals the number of path lines.
+	checkStream := func(req string, body []byte) {
+		var paths, dones int
+		var count uint64
+		sc := bufio.NewScanner(bytes.NewReader(body))
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			var line struct {
+				Path  []int64 `json:"path"`
+				Done  bool    `json:"done"`
+				Count uint64  `json:"count"`
+				Error string  `json:"error"`
+			}
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+				t.Errorf("/paths %s: bad line %q: %v", req, sc.Bytes(), err)
+				return
+			}
+			switch {
+			case line.Error != "":
+				t.Errorf("/paths %s: error line %q", req, line.Error)
+				return
+			case line.Done:
+				dones++
+				count = line.Count
+			case dones > 0:
+				t.Errorf("/paths %s: path line after the done line", req)
+				return
+			default:
+				if len(line.Path) < 2 || len(line.Path) > k+1 {
+					t.Errorf("/paths %s: path %v outside 1..%d hops", req, line.Path, k)
+				}
+				paths++
+			}
+		}
+		if dones != 1 || count != uint64(paths) {
+			t.Errorf("/paths %s: %d done lines, count %d, %d path lines", req, dones, count, paths)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c) + 1))
+			for i := 0; i < requests; i++ {
+				switch u := rng.Intn(100); {
+				case u < 40:
+					s, x := pair(rng)
+					post("/query", fmt.Sprintf(`{"s":%d,"t":%d,"k":%d,"limit":%d}`, s, x, k, limit))
+				case u < 55:
+					s, x := pair(rng)
+					req := fmt.Sprintf(`{"s":%d,"t":%d,"k":%d,"limit":%d}`, s, x, k, limit)
+					if body := post("/paths", req); body != nil {
+						checkStream(req, body)
+					}
+				case u < 70:
+					qs := make([]string, 4)
+					for j := range qs {
+						s, x := pair(rng)
+						qs[j] = fmt.Sprintf(`{"s":%d,"t":%d,"k":%d}`, s, x, k)
+					}
+					post("/batch", fmt.Sprintf(`{"queries":[%s],"limit":%d}`, strings.Join(qs, ","), limit))
+				default:
+					post("/insert", fmt.Sprintf(`{"edges":[{"from":%d,"to":%d}]}`, rng.Intn(n), rng.Intn(n)))
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	if err := engine.WaitOracle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if engine.Oracle() == nil || engine.OracleLag() != 0 {
+		t.Fatalf("after WaitOracle: oracle installed %v, lag %v; want the final snapshot's oracle",
+			engine.Oracle() != nil, engine.OracleLag())
+	}
+	final := engine.Graph()
+	if final.Epoch() == 0 {
+		t.Fatal("no insert was published")
+	}
+	t.Logf("epoch %d after the load, %v oracle rebuilds", final.Epoch(),
+		engine.Metrics().Snapshot()["pathenum_oracle_rebuilds_total"])
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 30; i++ {
+		s, x := pair(rng)
+		want, err := pathenum.Count(final, pathenum.Query{S: pathenum.VertexID(s), T: pathenum.VertexID(x), K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qr queryResponse
+		body := post("/query", fmt.Sprintf(`{"s":%d,"t":%d,"k":%d}`, s, x, k))
+		if body == nil {
+			t.FailNow()
+		}
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if qr.Count != want || !qr.Completed {
+			t.Errorf("/query %d->%d k=%d = %+v, want %d paths (pathenum.Count on epoch %d)",
+				s, x, k, qr, want, final.Epoch())
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package server is the HTTP face of the engine, shared by the
-// pathenumd daemon and in-process harnesses (the loadpath self-serve
-// mode, httptest-based tests). It wires the query surfaces (/query,
-// /paths, /batch), the engine write path (/insert, /flush), and the
-// production observability layer: GET /metrics in Prometheus text
-// exposition, a liveness/readiness split (/healthz, /readyz with
-// load-shedding), a structured NDJSON access log, and GET /stats
-// assembled from the engine's metrics registry.
+// pathenumd daemon and in-process harnesses (the benchmark module's
+// serve_mixed workload, httptest-based tests). It wires the query
+// surfaces (/query, /paths, /batch), the engine write path (/insert,
+// /flush), and the production observability layer: GET /metrics in
+// Prometheus text exposition, a liveness/readiness split (/healthz,
+// /readyz with load-shedding), a structured NDJSON access log, and GET
+// /stats assembled from the engine's metrics registry.
 package server
 
 import (

@@ -213,8 +213,8 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		// The pathenum_mem_* family mirrors Engine.MemStats at scrape
 		// time: the effective budget, total accounted bytes and the
 		// per-class split. pathenum_mem_bytes staying under
-		// pathenum_mem_budget_bytes is the acceptance signal benchpath mem
-		// watches.
+		// pathenum_mem_budget_bytes is the invariant
+		// TestEngineMemBudgetPathEquality checks after every query.
 		reg.GaugeFunc("pathenum_mem_budget_bytes",
 			"Effective memory budget (configured MemoryBudgetBytes floored at the session scratch requirement).",
 			func() float64 { return float64(e.budget.Limit()) })

@@ -46,8 +46,8 @@
 // The package also implements the paper's constraint extensions (edge
 // predicates, accumulative values, label-sequence automata), dynamic-graph
 // workflows, every baseline from the paper's evaluation and a benchmark
-// harness that regenerates each of its tables and figures; see DESIGN.md
-// and EXPERIMENTS.md.
+// harness that regenerates each of its tables and figures
+// (`go run ./cmd/benchpath all`); see DESIGN.md.
 package pathenum
 
 import (
