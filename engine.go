@@ -632,7 +632,8 @@ type WarmEndpoint struct {
 // admission gate (explicitly named endpoints are their own evidence) but
 // remain subject to the cache's byte bound and the engine budget: a
 // warm set larger than the bound admits only what fits (LRU order, last
-// deposit wins). Endpoints are warmed against the current graph version;
+// deposit wins), and when not even one frontier fits, no endpoint is
+// searched at all. Endpoints are warmed against the current graph version;
 // ctx cancels the remaining work. With caching disabled it returns 0.
 func (e *Engine) WarmCache(ctx context.Context, endpoints []WarmEndpoint) (int, error) {
 	if e.cache == nil {
@@ -647,6 +648,12 @@ func (e *Engine) WarmCache(ctx context.Context, endpoints []WarmEndpoint) (int, 
 		k := ep.K
 		if k <= 0 {
 			return warmed, fmt.Errorf("pathenum: WarmCache endpoint %v needs K > 0", ep)
+		}
+		if ep.Origin < 0 || int(ep.Origin) >= g.NumVertices() {
+			return warmed, fmt.Errorf("pathenum: WarmCache endpoint %v: origin out of range [0,%d)", ep, g.NumVertices())
+		}
+		if !e.cache.Fits(core.FrontierBytes(g.NumVertices())) {
+			continue // the cache would refuse it: spare the BFS
 		}
 		var f *core.Frontier
 		var err error

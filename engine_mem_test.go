@@ -197,3 +197,30 @@ func TestEngineWarmCache(t *testing.T) {
 		t.Fatalf("disabled cache warmed %d (%v), want 0, nil", n, err)
 	}
 }
+
+// TestWarmCacheBuildsNothingThatCannotFit: under a budget no frontier can
+// fit, WarmCache asks the cache before searching, so it warms nothing and
+// the cache refuses nothing — no BFS was run only to be thrown away. A bad
+// endpoint is still an error.
+func TestWarmCacheBuildsNothingThatCannotFit(t *testing.T) {
+	d, err := gen.Lookup("ep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Scale(0.1).Build()
+	e, err := NewEngine(g, EngineConfig{MemoryBudgetBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	n, err := e.WarmCache(ctx, []WarmEndpoint{{Origin: 3, Forward: true, K: 4}, {Origin: 9, Forward: false, K: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rejected := e.CacheStats().Rejected; n != 0 || rejected != 0 {
+		t.Fatalf("warmed %d endpoints with %d refused deposits, want 0 and 0", n, rejected)
+	}
+	if _, err := e.WarmCache(ctx, []WarmEndpoint{{Origin: VertexID(g.NumVertices()), Forward: true, K: 4}}); err == nil {
+		t.Fatal("out-of-range origin must error under any budget")
+	}
+}

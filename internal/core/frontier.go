@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"pathenum/internal/graph"
 )
@@ -18,8 +19,8 @@ import (
 // PredicateNone (the zero token) means "no predicate" and is the only
 // token valid alongside a nil EdgePredicate. A non-nil predicate with a
 // zero token is an *opaque* predicate: frontiers cannot be built for it,
-// and the batch scheduler and engine cache both fall back to unshared
-// per-query execution — correct, just without reuse.
+// and the engine's frontier cache falls back to unshared per-query
+// execution — correct, just without reuse.
 type PredicateToken uint64
 
 // PredicateNone identifies the nil predicate.
@@ -43,16 +44,22 @@ const PredicateNone PredicateToken = 0
 // index entries — the DFS (Algorithm 4) checks simplicity and the hop
 // budget on the path itself, and the join (Algorithm 6) validates every
 // joined tuple (joinPath). The extra entries cost only wasted
-// exploration, which the batch planner trades against the saved BFS
-// passes. TestRunSharedMatchesRun cross-checks the emitted path sets.
+// exploration, which the cache's degree-based admission trades against
+// the saved BFS passes. TestRunSharedMatchesRun cross-checks the emitted
+// path sets.
 //
 // Cost. A Frontier labels its endpoint's whole ball to depth bound and
 // holds 4 bytes per vertex of the graph, whereas a query's own labeling
 // (bfsScratch.label) touches only what the hop budget can use from both
-// ends. A query handed a Frontier treats that side as complete and runs
-// the other side restricted to the frontier's labels, so sharing pays off
-// from the second user on: a frontier built for one query alone costs more
-// than the search it replaces.
+// ends. It is grown by the labeling's own level kernel (bfsSide.expand),
+// every level complete: the last levels of a near-full ball run
+// bottom-up, each unlabeled vertex looking for one parent instead of the
+// frontier scanning all of its edges, so a hub's build scans a sixth to a
+// tenth of the edges a plain BFS would (BenchmarkFrontierBuild). A query
+// handed a Frontier treats that side as complete and runs the other side
+// restricted to the frontier's labels, so sharing pays off from the second
+// user on: a frontier built for one query alone costs more than the search
+// it replaces.
 //
 // A Frontier captures the graph's (lineage, epoch) version at construction
 // and is validated against the execution graph on every use: a frontier
@@ -76,35 +83,31 @@ type Frontier struct {
 // identified by a non-zero token; queries sharing the frontier must carry
 // the same predicate token (see PredicateToken).
 func NewForwardFrontier(g *graph.Graph, s graph.VertexID, bound int, pred EdgePredicate, tok PredicateToken) (*Frontier, error) {
-	if err := checkFrontierArgs(g, s, bound, pred, tok); err != nil {
-		return nil, err
-	}
-	f := &Frontier{ver: g.Version(), origin: s, bound: bound, forward: true, predTok: tok, hasPred: pred != nil, dist: minusOnes(g.NumVertices())}
-	frontierBFS(f.dist, bound, s, func(v graph.VertexID, visit func(graph.VertexID)) {
-		for _, w := range g.OutNeighbors(v) {
-			if pred == nil || pred(v, w) {
-				visit(w)
-			}
-		}
-	})
-	return f, nil
+	return newFrontier(g, s, bound, true, pred, tok)
 }
 
 // NewBackwardFrontier is the mirrored construction: one bounded BFS from t
 // along in-edges, valid for any query with target t and K <= bound.
 func NewBackwardFrontier(g *graph.Graph, t graph.VertexID, bound int, pred EdgePredicate, tok PredicateToken) (*Frontier, error) {
-	if err := checkFrontierArgs(g, t, bound, pred, tok); err != nil {
+	return newFrontier(g, t, bound, false, pred, tok)
+}
+
+// newFrontier validates the arguments and grows the frontier of origin.
+func newFrontier(g *graph.Graph, origin graph.VertexID, bound int, forward bool, pred EdgePredicate, tok PredicateToken) (*Frontier, error) {
+	if err := checkFrontierArgs(g, origin, bound, pred, tok); err != nil {
 		return nil, err
 	}
-	f := &Frontier{ver: g.Version(), origin: t, bound: bound, forward: false, predTok: tok, hasPred: pred != nil, dist: minusOnes(g.NumVertices())}
-	frontierBFS(f.dist, bound, t, func(v graph.VertexID, visit func(graph.VertexID)) {
-		for _, w := range g.InNeighbors(v) {
-			if pred == nil || pred(w, v) {
-				visit(w)
-			}
-		}
-	})
-	return f, nil
+	sd := growFrontier(g, origin, bound, forward, pred)
+	return &Frontier{ver: g.Version(), origin: origin, bound: bound, forward: forward, predTok: tok, hasPred: pred != nil, dist: sd.dist}, nil
+}
+
+// growFrontier labels origin's ball to depth bound with the labeling's own
+// level kernel, every level complete and no endpoint excluded.
+func growFrontier(g *graph.Graph, origin graph.VertexID, bound int, forward bool, pred EdgePredicate) *bfsSide {
+	sd := &bfsSide{dist: minusOnes(g.NumVertices())}
+	sd.start(g, origin, noVertex, forward)
+	sd.finish(g, int32(bound), pred, nil, math.MaxInt64)
+	return sd
 }
 
 func checkFrontierArgs(g *graph.Graph, origin graph.VertexID, bound int, pred EdgePredicate, tok PredicateToken) error {
@@ -121,29 +124,6 @@ func checkFrontierArgs(g *graph.Graph, origin graph.VertexID, bound int, pred Ed
 		return fmt.Errorf("core: frontier predicate needs a non-zero PredicateToken (opaque predicates cannot be shared)")
 	}
 	return nil
-}
-
-// frontierBFS is the direction-agnostic bounded BFS behind both frontier
-// constructors: neighbors abstracts the edge direction, and dist arrives
-// all-unreachable.
-func frontierBFS(dist []int32, bound int, origin graph.VertexID, neighbors func(v graph.VertexID, visit func(graph.VertexID))) {
-	queue := make([]graph.VertexID, 0, 64)
-	queue = append(queue, origin)
-	dist[origin] = 0
-	b32 := int32(bound)
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		d := dist[v]
-		if d >= b32 {
-			break
-		}
-		neighbors(v, func(w graph.VertexID) {
-			if dist[w] == distUnreachable {
-				dist[w] = d + 1
-				queue = append(queue, w)
-			}
-		})
-	}
 }
 
 // Origin returns the endpoint the frontier was grown from.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -242,4 +243,145 @@ func mustBwd(t *testing.T, g *graph.Graph, v graph.VertexID, bound int) *Frontie
 		t.Fatal(err)
 	}
 	return f
+}
+
+// referenceBFS is the reference frontier labeling: a plain queue-driven
+// bounded BFS from origin over the full graph, top-down at every level. It
+// also returns the edges it scanned, the out-degrees (in-degrees backward)
+// of the vertices it expanded.
+func referenceBFS(g *graph.Graph, origin graph.VertexID, bound int, forward bool, pred EdgePredicate) ([]int32, int64) {
+	dist := minusOnes(g.NumVertices())
+	queue := []graph.VertexID{origin}
+	dist[origin] = 0
+	var scanned int64
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		d := dist[v]
+		if d >= int32(bound) {
+			break
+		}
+		nbrs := g.OutNeighbors(v)
+		if !forward {
+			nbrs = g.InNeighbors(v)
+		}
+		scanned += int64(len(nbrs))
+		for _, w := range nbrs {
+			if dist[w] != distUnreachable {
+				continue
+			}
+			if pred != nil && (forward && !pred(v, w) || !forward && !pred(w, v)) {
+				continue
+			}
+			dist[w] = d + 1
+			queue = append(queue, w)
+		}
+	}
+	return dist, scanned
+}
+
+// starHub is a random sparse graph plus a hub (vertex 0) with an edge to
+// and from every other vertex: the hub's level is the whole graph, the
+// shape that sends the next level bottom-up.
+func starHub(rng *rand.Rand) *graph.Graph {
+	n := 8 + rng.Intn(60)
+	edges := gen.ErdosRenyi(n, n, rng.Int63()).Edges()
+	for v := 1; v < n; v++ {
+		edges = append(edges, graph.Edge{From: 0, To: graph.VertexID(v)}, graph.Edge{From: graph.VertexID(v), To: 0})
+	}
+	g, err := graph.NewGraph(n, edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// checkFrontierDist builds the frontier of origin through the level kernel
+// and compares its labels, vertex by vertex, with the reference BFS. It
+// returns the edges each scanned.
+func checkFrontierDist(t testing.TB, g *graph.Graph, origin graph.VertexID, bound int, forward bool, pred EdgePredicate) (kernel, reference int64) {
+	t.Helper()
+	want, refScanned := referenceBFS(g, origin, bound, forward, pred)
+	sd := growFrontier(g, origin, bound, forward, pred)
+	if !slices.Equal(sd.dist, want) {
+		i := 0
+		for sd.dist[i] == want[i] {
+			i++
+		}
+		t.Fatalf("frontier of %d (bound %d, forward %v, predicate %v) on %v: dist[%d] = %d, reference %d",
+			origin, bound, forward, pred != nil, g, i, sd.dist[i], want[i])
+	}
+	return sd.scanned, refScanned
+}
+
+// TestFrontierMatchesReferenceBFS: the level kernel behind both Frontier
+// constructors, top-down or bottom-up level by level, labels exactly what
+// the plain bounded BFS labels — over the labeling test shapes, star hubs
+// and a graph padded with ten times as many isolated vertices, every bound
+// in 1..6, both directions, with no predicate, a symmetric and an
+// asymmetric one. On a star hub the level after the hub must have gone
+// bottom-up: fewer edges scanned than the reference.
+func TestFrontierMatchesReferenceBFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	var graphs []*graph.Graph
+	for i := 0; i < 60; i++ {
+		graphs = append(graphs, labelingGraph(rng))
+	}
+	for i := 0; i < 10; i++ {
+		graphs = append(graphs, starHub(rng))
+	}
+	small := gen.BarabasiAlbert(50, 3, 8)
+	padded, err := graph.NewGraph(11*small.NumVertices(), small.Edges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs = append(graphs, small, padded)
+	for _, g := range graphs {
+		n := g.NumVertices()
+		for _, origin := range []graph.VertexID{0, graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))} {
+			for bound := 1; bound <= 6; bound++ {
+				for _, forward := range []bool{true, false} {
+					for _, pred := range []EdgePredicate{nil, dropThirds, skewThirds} {
+						checkFrontierDist(t, g, origin, bound, forward, pred)
+					}
+				}
+			}
+		}
+	}
+	for i := 0; i < 10; i++ {
+		g := starHub(rng)
+		leaf := graph.VertexID(1 + rng.Intn(g.NumVertices()-1))
+		if kernel, reference := checkFrontierDist(t, g, leaf, 2, true, nil); kernel >= reference {
+			t.Fatalf("star hub %v from leaf %d: kernel scanned %d edges, reference %d: the level after the hub did not go bottom-up", g, leaf, kernel, reference)
+		}
+	}
+}
+
+// BenchmarkFrontierBuild times one backward frontier build from the
+// highest in-degree vertex of the tm (k=4) and lj (k=5) graphs, the
+// deposits of light_large and serve_mixed, and reports the edges the build
+// scanned.
+func BenchmarkFrontierBuild(b *testing.B) {
+	for _, c := range []struct {
+		dataset string
+		k       int
+	}{{"tm", 4}, {"lj", 5}} {
+		d, err := gen.Lookup(c.dataset)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := d.Build()
+		hub := graph.VertexID(0)
+		for v := range graph.VertexID(g.NumVertices()) {
+			if g.InDegree(v) > g.InDegree(hub) {
+				hub = v
+			}
+		}
+		b.Run(c.dataset+"/k="+itoa(c.k), func(b *testing.B) {
+			var scanned int64
+			for i := 0; i < b.N; i++ {
+				scanned = growFrontier(g, hub, c.k, false, nil).scanned
+			}
+			b.ReportMetric(float64(scanned), "edges/op")
+		})
+	}
 }

@@ -218,3 +218,57 @@ func FuzzEnumerationAgreement(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLabelingAgreement drives the BFS level kernel, top-down and
+// bottom-up, over fuzz-chosen graphs: a random graph of up to 41 vertices
+// and anywhere from no edges to about half of all pairs, optionally with a
+// star hub (vertex 0 to and from every other vertex); endpoints; k in
+// 1..6; the frontier's direction; and no predicate, dropThirds or
+// skewThirds.
+// The frontier grown from s (forward) or t (backward) to depth k must
+// equal the reference BFS vertex for vertex, and the per-query labeling
+// must assemble, field for field, the two-pass reference index. Run with
+// `go test -fuzz=FuzzLabelingAgreement ./internal/core`; the seed corpus
+// runs in normal test mode.
+func FuzzLabelingAgreement(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint16(30), uint8(0), uint8(5), uint8(3), uint8(0))
+	f.Add(int64(2), uint8(30), uint16(450), uint8(1), uint8(7), uint8(4), uint8(3))
+	f.Add(int64(3), uint8(25), uint16(20), uint8(3), uint8(9), uint8(5), uint8(4))
+	f.Add(int64(4), uint8(39), uint16(800), uint8(2), uint8(0), uint8(1), uint8(6))
+	f.Add(int64(5), uint8(20), uint16(150), uint8(4), uint8(11), uint8(3), uint8(15))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8, mRaw uint16, sRaw, tRaw, kRaw, flags uint8) {
+		n := 2 + int(nRaw)%40
+		edges := gen.ErdosRenyi(n, int(mRaw)%(n*n/2+1), seed).Edges()
+		if flags&4 != 0 {
+			for v := 1; v < n; v++ {
+				edges = append(edges, graph.Edge{From: 0, To: graph.VertexID(v)}, graph.Edge{From: graph.VertexID(v), To: 0})
+			}
+		}
+		g, err := graph.NewGraph(n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, tt := graph.VertexID(int(sRaw)%n), graph.VertexID(int(tRaw)%n)
+		if s == tt {
+			return
+		}
+		q := Query{S: s, T: tt, K: 1 + int(kRaw)%6}
+		var pred EdgePredicate
+		switch flags & 10 {
+		case 2:
+			pred = dropThirds
+		case 10:
+			pred = skewThirds
+		}
+		forward, origin := flags&1 == 0, s
+		if !forward {
+			origin = tt
+		}
+		checkFrontierDist(t, g, origin, q.K, forward, pred)
+		want := referenceIndex(g, q, pred, nil)
+		got := buildIndex(g, q, newBFSScratch(n).label(g, q, pred, nil, nil, nil), pred, newPosMap(n))
+		if d := diffIndex(want, got); d != "" {
+			t.Fatalf("%v on %v (predicate %v): index field %s differs from the two-pass build", q, g, pred != nil, d)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -113,16 +114,23 @@ func diffIndex(a, b *Index) string {
 // dropThirds is an edge predicate that removes about a third of the edges.
 func dropThirds(u, v graph.VertexID) bool { return (u+v)%3 != 0 }
 
-// labelingGraph draws a small random graph of one of three shapes: sparse
-// (balls exhaust early), dense, and scale-free (hubs make one side
-// expensive).
+// skewThirds removes about a third of the edges too, but tells an edge from
+// its reverse, so a search that asks the predicate about (to, from) fails.
+func skewThirds(u, v graph.VertexID) bool { return (u+2*v)%3 != 1 }
+
+// labelingGraph draws a small random graph of one of four shapes: sparse
+// (balls exhaust early), dense, near-complete (a level or two covers the
+// graph, so complete levels go bottom-up), and scale-free (hubs make one
+// side expensive).
 func labelingGraph(rng *rand.Rand) *graph.Graph {
 	n := 6 + rng.Intn(45)
-	switch rng.Intn(3) {
+	switch rng.Intn(4) {
 	case 0:
 		return gen.ErdosRenyi(n, n+rng.Intn(n), rng.Int63())
 	case 1:
 		return gen.ErdosRenyi(n, n*4, rng.Int63())
+	case 2:
+		return gen.ErdosRenyi(n, n*n/2, rng.Int63())
 	default:
 		return gen.BarabasiAlbert(n, 1+rng.Intn(3), rng.Int63())
 	}
@@ -163,6 +171,51 @@ func TestLabelingIndexIdentity(t *testing.T) {
 					}
 					if twoPass := 2 * n; lab.visited > twoPass {
 						t.Fatalf("trial %d %v %s: labeled %d vertices, more than two full passes (%d)", trial, q, mode.name, lab.visited, twoPass)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBottomUpLevelMatchesTopDown drives two copies of a side level by
+// level, one always top-down and one always bottom-up, from both ends of a
+// query (far excluded) and from a frontier's origin (nothing excluded),
+// with and without a predicate: after every level the labels, the level's
+// vertex set and cost — which steers the side choice and finish's edge
+// cap — must agree.
+func TestBottomUpLevelMatchesTopDown(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	level := func(g *graph.Graph, sd *bfsSide, bottomUp bool, pred EdgePredicate) []graph.VertexID {
+		lo := len(sd.vis)
+		if bottomUp {
+			sd.bottomUp(g, pred)
+		} else {
+			sd.topDown(g, math.MaxInt32, pred, nil, nil)
+		}
+		sd.lo, sd.depth = lo, sd.depth+1
+		return slices.Sorted(slices.Values(sd.vis[lo:]))
+	}
+	for trial := 0; trial < 100; trial++ {
+		g := labelingGraph(rng)
+		n := g.NumVertices()
+		s, tt := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+		if s == tt {
+			continue
+		}
+		for _, side := range []struct {
+			origin, far graph.VertexID
+			forward     bool
+		}{{s, tt, true}, {tt, s, false}, {s, noVertex, true}, {tt, noVertex, false}} {
+			for _, pred := range []EdgePredicate{nil, dropThirds, skewThirds} {
+				td, bu := &bfsSide{dist: minusOnes(n)}, &bfsSide{dist: minusOnes(n)}
+				td.start(g, side.origin, side.far, side.forward)
+				bu.start(g, side.origin, side.far, side.forward)
+				for depth := 1; td.lo < len(td.vis); depth++ {
+					want, got := level(g, td, false, pred), level(g, bu, true, pred)
+					if !slices.Equal(want, got) || td.cost != bu.cost || !slices.Equal(td.dist, bu.dist) {
+						t.Fatalf("trial %d %+v predicate %v level %d on %v: bottom-up labeled %v cost %d, top-down %v cost %d",
+							trial, side, pred != nil, depth, g, got, bu.cost, want, td.cost)
 					}
 				}
 			}
