@@ -3,6 +3,7 @@ package pathenum
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"iter"
 	"runtime"
 	"slices"
@@ -73,19 +74,20 @@ type BatchItem struct {
 // to miss on an admitted hub builds its labeling and the rest wait for
 // that single build, so a repeat batch over the same hubs executes with
 // zero BFS passes (BatchStats.BFSPassesRun and the cache hit counters make
-// this visible). Results come back in input order with ExecuteAllContext's
-// fail-fast cancellation semantics.
+// this visible). Results come back in input order; a validation error
+// fills its query's own slot without aborting the batch. Cancellation is
+// fail-fast: once ctx is done, queries not yet started fail with ctx.Err()
+// and in-flight enumerations stop early.
 //
-// Two semantic differences from ExecuteAllContext follow from
-// deduplication: duplicate queries receive the same *Result pointer (treat
-// Results as read-only), and opts.Emit — already concurrent and
-// unattributed in batch execution — fires once per unique query, not once
-// per duplicate.
+// Deduplication has two consequences: duplicate queries receive the same
+// *Result pointer (treat Results as read-only), and opts.Emit — called
+// concurrently from the workers and not attributed to a query — fires once
+// per unique query, not once per duplicate.
 func (e *Engine) ExecuteBatch(ctx context.Context, queries []Query, opts Options) ([]*Result, []error, *BatchStats) {
 	results := make([]*Result, len(queries))
 	errs := make([]error, len(queries))
 	var stats *BatchStats
-	for item := range e.batch(ctx, queries, opts, opBatch) {
+	for item := range e.batch(ctx, queries, opts) {
 		if item.Index < 0 {
 			stats = item.Stats
 			continue
@@ -106,22 +108,47 @@ func (e *Engine) ExecuteBatch(ctx context.Context, queries []Query, opts Options
 // the workers to wind down, so sessions are never leaked. The final item
 // carries the BatchStats — see BatchItem.
 func (e *Engine) StreamBatch(ctx context.Context, queries []Query, opts Options) iter.Seq[BatchItem] {
-	return e.batch(ctx, queries, opts, opStreamBatch)
+	return e.batch(ctx, queries, opts)
 }
 
-// batch is both batch surfaces: capture one view, validate and dedupe,
-// order by endpoint, fan the unique queries out over e.workers through
-// e.run, and scatter each settled execution to its batch positions. op
-// names the metrics series: one request per call, observeRun once per
-// unique execution.
-func (e *Engine) batch(ctx context.Context, queries []Query, opts Options, op metricOp) iter.Seq[BatchItem] {
+// ExecuteAll runs the queries as one batch with the engine defaults (see
+// ExecuteBatch) and returns results in input order. The per-result error
+// slot is set for invalid queries; valid ones always produce a Result.
+// Duplicate queries share one read-only *Result, and a default Emit
+// (EngineConfig.Options.Emit) fires once per unique query.
+func (e *Engine) ExecuteAll(queries []Query) ([]*Result, []error) {
+	results, errs, _ := e.ExecuteBatch(context.Background(), queries, Options{})
+	return results, errs
+}
+
+// CountAll returns per-query path counts in input order, collected from
+// ExecuteAll (so duplicates run once and share their count); the first
+// query error aborts the batch.
+func (e *Engine) CountAll(queries []Query) ([]uint64, error) {
+	results, errs := e.ExecuteAll(queries)
+	counts := make([]uint64, len(queries))
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("pathenum: query %d (%v): %w", i, queries[i], err)
+		}
+		counts[i] = results[i].Counters.Results
+	}
+	return counts, nil
+}
+
+// batch is the engine's one worker fan-out, behind every batch surface:
+// capture one view, validate and dedupe, order by endpoint, fan the unique
+// queries out over e.workers through e.run, and scatter each settled
+// execution to its batch positions. Metrics: one op="batch" request per
+// call, observeRun once per unique execution.
+func (e *Engine) batch(ctx context.Context, queries []Query, opts Options) iter.Seq[BatchItem] {
 	return func(yield func(BatchItem) bool) {
-		e.metrics.requests[op].Inc()
+		e.metrics.requests[opBatch].Inc()
 		e.metrics.batchQueries.Add(uint64(len(queries)))
 		start := time.Now()
 		// Duration covers first pull to iterator exit, abandoned streams
 		// included — the consumer's drain is part of a streaming batch.
-		defer func() { e.metrics.latency[op].Observe(time.Since(start)) }()
+		defer func() { e.metrics.latency[opBatch].Observe(time.Since(start)) }()
 		g, oracle := e.view()
 		merged := e.MergeOptions(opts)
 		stats := &BatchStats{Queries: len(queries)}

@@ -15,11 +15,6 @@
 //	genpath -family ba -n 10000 -out g.txt \
 //	        -batch 64 -batchout q.txt -batchk 6 -batchgroup 8 -batchdup 0.2
 //
-//	# hub-to-hub grid: 8 source hubs x 8 target hubs, every query shares
-//	# both its source and its target with other queries in the batch:
-//	genpath -family ba -n 10000 -out g.txt \
-//	        -batch 64 -batchout q.txt -batchk 6 -two-sided
-//
 //	# partition-aware set for the sharded engine: endpoints classified by
 //	# the engine's hashed ownership at P=4, 30% cross-shard queries:
 //	genpath -family ba -n 10000 -out g.txt \
@@ -53,7 +48,6 @@ func main() {
 		batchK     = flag.Int("batchk", 6, "batch: hop constraint per query")
 		batchGroup = flag.Int("batchgroup", 8, "batch: queries per shared-endpoint cluster")
 		batchDup   = flag.Float64("batchdup", 0, "batch: fraction of exact-duplicate queries")
-		twoSided   = flag.Bool("two-sided", false, "batch: hub-to-hub grid (every query shares both endpoints)")
 		partition  = flag.Int("partition", 0, "batch: classify endpoints by this shard count and control the intra/cross mix")
 		crossFrac  = flag.Float64("cross-frac", 0.5, "batch: fraction of cross-shard queries (with -partition)")
 	)
@@ -71,7 +65,7 @@ func main() {
 		if *partition > 0 {
 			err = runPartition(g, *batch, *batchK, *partition, *crossFrac, *seed, *batchOut)
 		} else {
-			err = runBatch(g, *batch, *batchK, *batchGroup, *batchDup, *twoSided, *seed, *batchOut)
+			err = runBatch(g, *batch, *batchK, *batchGroup, *batchDup, *seed, *batchOut)
 		}
 	}
 	if err != nil {
@@ -120,7 +114,7 @@ func run(dataset string, scale float64, family string, n int, davg float64, laye
 // runBatch generates a shared-endpoint batch query set over g and writes
 // one "s t k" line per query — the input format of benchpath's batch mode
 // and of scripted POST /batch clients.
-func runBatch(g *graph.Graph, count, k, groupSize int, dupFrac float64, twoSided bool, seed int64, out string) error {
+func runBatch(g *graph.Graph, count, k, groupSize int, dupFrac float64, seed int64, out string) error {
 	if out == "" {
 		return fmt.Errorf("-batchout is required with -batch")
 	}
@@ -129,7 +123,6 @@ func runBatch(g *graph.Graph, count, k, groupSize int, dupFrac float64, twoSided
 		K:         k,
 		GroupSize: groupSize,
 		DupFrac:   dupFrac,
-		TwoSided:  twoSided,
 		Seed:      seed,
 	})
 	if err != nil {

@@ -70,7 +70,7 @@ func TestRunBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runBatch(g, 32, 5, 6, 0.2, false, 11, qOut); err != nil {
+	if err := runBatch(g, 32, 5, 6, 0.2, 11, qOut); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,13 +125,13 @@ func TestRunBatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runBatch(g, 8, 5, 4, 0, false, 3, ""); err == nil {
+	if err := runBatch(g, 8, 5, 4, 0, 3, ""); err == nil {
 		t.Error("missing -batchout: expected error")
 	}
-	if err := runBatch(g, 8, 0, 4, 0, false, 3, filepath.Join(dir, "q.txt")); err == nil {
+	if err := runBatch(g, 8, 0, 4, 0, 3, filepath.Join(dir, "q.txt")); err == nil {
 		t.Error("k=0: expected error")
 	}
-	if err := runBatch(g, 8, 5, 4, 0, false, 3, "/nonexistent-dir/q.txt"); err == nil {
+	if err := runBatch(g, 8, 5, 4, 0, 3, "/nonexistent-dir/q.txt"); err == nil {
 		t.Error("unwritable: expected error")
 	}
 }

@@ -26,13 +26,12 @@
 // mid-NDJSON-stream. POST /paths is the streaming face of /query
 // (Engine.Stream underneath): paths arrive line by line with per-line
 // flush while enumeration is still running, closed by a {"done":true,...}
-// summary. POST /batch runs Engine.ExecuteBatch — duplicate queries
+// summary. POST /batch runs Engine.StreamBatch — duplicate queries
 // answered once, the rest fanned out in endpoint order over the frontier
 // cache — and its response stats report queries, invalid, unique,
 // deduped, bfsPassesNaive, bfsPassesRun, bfsPassesSaved, cacheHits,
 // cacheMisses and epoch; add "stream":true for NDJSON with per-query
-// flush as executions settle (Engine.StreamBatch), or "naive":true to
-// force the plain per-query fan-out instead. Every surface shares the
+// flush as executions settle. Every surface shares the
 // engine's frontier cache (size it with -frontier-cache): hub-grade
 // endpoints are deposited single-flight on their first miss, so a repeat
 // hub is served with zero BFS passes — watch bfsPassesRun and cacheHits
@@ -60,8 +59,8 @@
 // -shards N serves the graph through the sharded engine (internal/shard):
 // the edge list splits into N edge-cut partitions, intra-shard queries
 // delegate to per-shard engine spines, cross-shard queries join at the
-// partition boundary, and pathenum_shard_* series land on the same
-// /metrics scrape. -shard-degree-aware keeps hub out-edges co-resident.
+// partition boundary, /batch runs on the full image, and pathenum_shard_*
+// series land on the same /metrics scrape. -shard-degree-aware keeps hub out-edges co-resident.
 package main
 
 import (

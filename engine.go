@@ -64,7 +64,7 @@ type EngineConfig struct {
 	// deposit's full-ball search and O(|V|) allocation. Single queries,
 	// streams and batch members are one path here: a batch's queries are
 	// single queries run side by side. 0 uses DefaultCacheAdmitDegree;
-	// negative disables deposits (WarmCache still deposits).
+	// negative disables deposits.
 	CacheAdmitDegree int
 	// SnapshotEvery batches the engine write path: Engine.Insert publishes
 	// a fresh immutable snapshot only after this many applied insertions,
@@ -613,65 +613,6 @@ func (e *Engine) MemStats() MemStats {
 	return ms
 }
 
-// WarmEndpoint names one frontier to precompute for WarmCache: the BFS
-// origin, the direction (a forward frontier serves queries with S ==
-// Origin, a backward one queries with T == Origin) and the hop bound to
-// label to — a warmed bound serves every query with k <= K on that side.
-type WarmEndpoint struct {
-	Origin  VertexID
-	Forward bool
-	K       int
-}
-
-// WarmCache precomputes frontier labelings for the given endpoints and
-// deposits them in the frontier cache, returning how many were admitted.
-// This is the operator-intent warm path — a service that knows its hot
-// hubs (yesterday's top endpoints, a fraud ring under live
-// investigation) loads them before traffic arrives instead of paying
-// cold BFS passes on the first queries. Deposits bypass the degree-based
-// admission gate (explicitly named endpoints are their own evidence) but
-// remain subject to the cache's byte bound and the engine budget: a
-// warm set larger than the bound admits only what fits (LRU order, last
-// deposit wins), and when not even one frontier fits, no endpoint is
-// searched at all. Endpoints are warmed against the current graph version;
-// ctx cancels the remaining work. With caching disabled it returns 0.
-func (e *Engine) WarmCache(ctx context.Context, endpoints []WarmEndpoint) (int, error) {
-	if e.cache == nil {
-		return 0, nil
-	}
-	g, _ := e.view()
-	warmed := 0
-	for _, ep := range endpoints {
-		if err := ctx.Err(); err != nil {
-			return warmed, err
-		}
-		k := ep.K
-		if k <= 0 {
-			return warmed, fmt.Errorf("pathenum: WarmCache endpoint %v needs K > 0", ep)
-		}
-		if ep.Origin < 0 || int(ep.Origin) >= g.NumVertices() {
-			return warmed, fmt.Errorf("pathenum: WarmCache endpoint %v: origin out of range [0,%d)", ep, g.NumVertices())
-		}
-		if !e.cache.Fits(core.FrontierBytes(g.NumVertices())) {
-			continue // the cache would refuse it: spare the BFS
-		}
-		var f *core.Frontier
-		var err error
-		if ep.Forward {
-			f, err = core.NewForwardFrontier(g, ep.Origin, k, nil, core.PredicateNone)
-		} else {
-			f, err = core.NewBackwardFrontier(g, ep.Origin, k, nil, core.PredicateNone)
-		}
-		if err != nil {
-			return warmed, fmt.Errorf("pathenum: WarmCache endpoint %v: %w", ep, err)
-		}
-		if e.cache.Put(f) {
-			warmed++
-		}
-	}
-	return warmed, nil
-}
-
 // Execute runs one query with the engine defaults (synchronously).
 func (e *Engine) Execute(q Query) (*Result, error) {
 	return e.ExecuteWith(context.Background(), q, Options{})
@@ -890,10 +831,10 @@ func (e *Engine) MergeOptions(opts Options) Options {
 
 // PoolStats snapshots the engine's worker-pool occupancy: the configured
 // worker count, the queries currently executing — through ExecuteWith,
-// Engine.Stream, the ExecuteAll fan-outs and each unique query of an
-// ExecuteBatch or StreamBatch alike — and the intra-query parallel
-// enumeration shards those queries have fanned out (Options.Parallelism > 1
-// counts its full merged fan-out for the duration of the run).
+// Engine.Stream and each unique query of a batch alike — and the
+// intra-query parallel enumeration shards those queries have fanned out
+// (Options.Parallelism > 1 counts its full merged fan-out for the
+// duration of the run).
 type PoolStats struct {
 	// Workers is EngineConfig.Workers after defaulting.
 	Workers int
@@ -943,64 +884,4 @@ func (e *Engine) track(parallelism int) func() {
 			e.inShards.Add(-shards)
 		}
 	}
-}
-
-// ExecuteAll runs the queries across the worker pool and returns results
-// in input order. The per-result error slot is set for invalid queries;
-// valid ones always produce a Result.
-func (e *Engine) ExecuteAll(queries []Query) ([]*Result, []error) {
-	return e.ExecuteAllContext(context.Background(), queries, Options{})
-}
-
-// ExecuteAllContext runs the queries across the worker pool with shared
-// per-call option overrides, observing ctx with fail-fast cancellation:
-// once ctx is done, queries not yet started return ctx.Err() immediately
-// and in-flight enumerations stop early. Results come back in input order;
-// per-query validation errors fill their slot without aborting the batch.
-//
-// opts.Emit, if set, may be invoked concurrently from multiple workers and
-// does not identify the originating query; batch callers normally leave it
-// nil and read counts from the Results.
-func (e *Engine) ExecuteAllContext(ctx context.Context, queries []Query, opts Options) ([]*Result, []error) {
-	results := make([]*Result, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.workers)
-dispatch:
-	for i, q := range queries {
-		// The acquire must observe ctx alongside the semaphore: with the
-		// pool full, a bare channel send would block cancellation behind a
-		// slow in-flight query instead of failing the rest of the batch
-		// fast.
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			for j := i; j < len(queries); j++ {
-				errs[j] = ctx.Err()
-			}
-			break dispatch
-		}
-		wg.Add(1)
-		go func(i int, q Query) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = e.ExecuteWith(ctx, q, opts)
-		}(i, q)
-	}
-	wg.Wait()
-	return results, errs
-}
-
-// CountAll returns per-query path counts in input order; the first query
-// error aborts the batch.
-func (e *Engine) CountAll(queries []Query) ([]uint64, error) {
-	results, errs := e.ExecuteAll(queries)
-	counts := make([]uint64, len(queries))
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("pathenum: query %d (%v): %w", i, queries[i], err)
-		}
-		counts[i] = results[i].Counters.Results
-	}
-	return counts, nil
 }

@@ -218,6 +218,84 @@ func TestExecuteBatchConstraints(t *testing.T) {
 	}
 }
 
+// TestExecuteBatchPreCancelledFailsFast: a batch whose context is already
+// done runs nothing; every slot carries the context error.
+func TestExecuteBatchPreCancelledFailsFast(t *testing.T) {
+	g := engineGraph()
+	e, err := NewEngine(g, EngineConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := engineQueries(8, 3, g.NumVertices())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	results, errs, _ := e.ExecuteBatch(ctx, queries, Options{})
+	for i := range queries {
+		if !errors.Is(errs[i], context.Canceled) || results[i] != nil {
+			t.Fatalf("slot %d: err=%v result=%v, want fail-fast ctx error", i, errs[i], results[i])
+		}
+	}
+}
+
+// TestExecuteBatchSharedOptions: batch-wide overrides reach every unique
+// query and, through the shared Result, every duplicate.
+func TestExecuteBatchSharedOptions(t *testing.T) {
+	g := gen.Layered(5, 3)
+	e, err := NewEngine(g, EngineConfig{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{S: 0, T: 1, K: 4} // 125 paths
+	queries := []Query{q, {S: 0, T: 1, K: 5}, q}
+	results, errs, _ := e.ExecuteBatch(context.Background(), queries, Options{Limit: 7})
+	for i := range queries {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if results[i].Counters.Results != 7 {
+			t.Fatalf("slot %d: %d results, want 7", i, results[i].Counters.Results)
+		}
+	}
+}
+
+// TestExecuteAllIsOneBatch pins ExecuteAll as a collector over the batch:
+// duplicates share one read-only *Result, invalid queries fill their own
+// error slots, and the call is one op="batch" request — its members are
+// not single-query executions.
+func TestExecuteAllIsOneBatch(t *testing.T) {
+	g := engineGraph()
+	e, err := NewEngine(g, EngineConfig{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{S: 1, T: 7, K: 4}
+	queries := []Query{q, {S: 5, T: 5, K: 4}, q, {S: 0, T: 9999, K: 4}, q}
+	results, errs := e.ExecuteAll(queries)
+	for _, i := range []int{0, 2, 4} {
+		if errs[i] != nil || results[i] == nil {
+			t.Fatalf("slot %d = %v, %v; want a result", i, results[i], errs[i])
+		}
+		if results[i] != results[0] {
+			t.Fatalf("slot %d has its own Result; duplicates must share one", i)
+		}
+	}
+	for _, i := range []int{1, 3} {
+		if want := queries[i].Validate(g); errs[i] == nil || errs[i].Error() != want.Error() || results[i] != nil {
+			t.Fatalf("slot %d = %v, %v; want nil, %v", i, results[i], errs[i], want)
+		}
+	}
+	snap := e.Metrics().Snapshot()
+	for series, want := range map[string]float64{
+		`pathenum_requests_total{op="batch"}`:   1,
+		`pathenum_requests_total{op="execute"}`: 0,
+		`pathenum_batch_queries_total`:          float64(len(queries)),
+	} {
+		if got := snap[series]; got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+}
+
 // TestExecuteBatchCancelledMidway: cancelling during a batch fails the
 // queries not yet started with ctx.Err() while the running one stops
 // early, and ExecuteBatch returns promptly with the pool idle.
@@ -278,48 +356,13 @@ func checkCancelledMidway(t *testing.T, run batchRun) {
 	}
 }
 
-// TestExecuteAllContextCancelDoesNotStallOnSemaphore: regression test for
-// the fail-fast dispatch loop — with the pool saturated by a slow query,
-// cancellation must not block behind the semaphore acquire.
-func TestExecuteAllContextCancelDoesNotStallOnSemaphore(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 5, 12)
-	e, err := NewEngine(g, EngineConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var queries []Query
-	for i := 1; i < 48; i++ {
-		queries = append(queries, Query{S: 0, T: VertexID(i), K: 8})
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	// The first emitted path cancels the batch while the single worker is
-	// mid-query; before the fix the dispatch loop would only notice after
-	// the slow query freed its slot.
-	opts := Options{Emit: func([]VertexID) bool {
-		once.Do(cancel)
-		return true
-	}}
-	_, errs := e.ExecuteAllContext(ctx, queries, opts)
-	cancelled := 0
-	for _, err := range errs {
-		if errors.Is(err, context.Canceled) {
-			cancelled++
-		}
-	}
-	if cancelled == 0 {
-		t.Fatal("no query observed the cancellation")
-	}
-}
-
 // TestExecuteBatchBuildsNoRefusedFrontier: a batch member's side goes
 // through the same admission check as a single query's, asked before the
 // build, so a shared-target batch from low-degree sources — every forward
 // side below CacheAdmitDegree — builds none of them (each would have been a
 // whole k-ball labeling thrown away) and runs them as the members' own
 // labelings instead: one single-flight build of the hub side, one session
-// pass per member, no refused deposit, results equal to the naive fan-out.
+// pass per member, no refused deposit, results equal to per-query runs.
 func TestExecuteBatchBuildsNoRefusedFrontier(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 3, 11)
 	e, err := NewEngine(g, EngineConfig{Workers: 2})
@@ -346,20 +389,20 @@ func TestExecuteBatchBuildsNoRefusedFrontier(t *testing.T) {
 	}
 	ctx := context.Background()
 	results, errs, stats := e.ExecuteBatch(ctx, queries, Options{})
-	want, wantErrs := e.ExecuteAllContext(ctx, queries, Options{})
+	if cs := e.CacheStats(); cs.Entries != 1 || cs.Rejected != 0 {
+		t.Fatalf("cache after the batch = %+v, want only the hub's backward frontier and no refusal", cs)
+	}
 	for i, q := range queries {
-		if errs[i] != nil || wantErrs[i] != nil {
-			t.Fatalf("%v: batch err %v, fan-out err %v", q, errs[i], wantErrs[i])
+		want, err := e.ExecuteWith(ctx, q, Options{})
+		if errs[i] != nil || err != nil {
+			t.Fatalf("%v: batch err %v, single-query err %v", q, errs[i], err)
 		}
-		if results[i].Counters.Results != want[i].Counters.Results {
-			t.Fatalf("%v: batch count %d != fan-out %d", q, results[i].Counters.Results, want[i].Counters.Results)
+		if results[i].Counters.Results != want.Counters.Results {
+			t.Fatalf("%v: batch count %d != single query %d", q, results[i].Counters.Results, want.Counters.Results)
 		}
 	}
 	if stats.BFSPassesRun != 1+len(queries) {
 		t.Fatalf("BFSPassesRun = %d, want %d (one hub build + one session pass per member)", stats.BFSPassesRun, 1+len(queries))
-	}
-	if cs := e.CacheStats(); cs.Entries != 1 || cs.Rejected != 0 {
-		t.Fatalf("cache after the batch = %+v, want only the hub's backward frontier and no refusal", cs)
 	}
 }
 

@@ -152,75 +152,3 @@ func TestEngineMemStats(t *testing.T) {
 		t.Fatalf("unbudgeted MemStats = %+v, want zero", ms)
 	}
 }
-
-// TestEngineWarmCache: operator-named endpoints are BFS'd and deposited
-// up front — bypassing the degree gate — so the first matching query is
-// a cache hit; a disabled cache warms nothing; bad endpoints error.
-func TestEngineWarmCache(t *testing.T) {
-	g := engineGraph()
-	e, err := NewEngine(g, EngineConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	eps := []WarmEndpoint{
-		{Origin: 3, Forward: true, K: 4},
-		{Origin: 9, Forward: false, K: 4},
-	}
-	n, err := e.WarmCache(ctx, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(eps) {
-		t.Fatalf("warmed %d endpoints, want %d", n, len(eps))
-	}
-	before := e.CacheStats().Hits
-	if _, err := e.ExecuteWith(ctx, Query{S: 3, T: 9, K: 4}, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if after := e.CacheStats().Hits; after < before+2 {
-		t.Fatalf("warmed query hit %d cached sides, want 2", after-before)
-	}
-
-	if _, err := e.WarmCache(ctx, []WarmEndpoint{{Origin: 3, Forward: true, K: 0}}); err == nil {
-		t.Fatal("K=0 endpoint must error")
-	}
-	if _, err := e.WarmCache(ctx, []WarmEndpoint{{Origin: VertexID(g.NumVertices() + 5), Forward: true, K: 4}}); err == nil {
-		t.Fatal("out-of-range origin must error")
-	}
-
-	off, err := NewEngine(g, EngineConfig{FrontierCache: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := off.WarmCache(ctx, eps); err != nil || n != 0 {
-		t.Fatalf("disabled cache warmed %d (%v), want 0, nil", n, err)
-	}
-}
-
-// TestWarmCacheBuildsNothingThatCannotFit: under a budget no frontier can
-// fit, WarmCache asks the cache before searching, so it warms nothing and
-// the cache refuses nothing — no BFS was run only to be thrown away. A bad
-// endpoint is still an error.
-func TestWarmCacheBuildsNothingThatCannotFit(t *testing.T) {
-	d, err := gen.Lookup("ep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := d.Scale(0.1).Build()
-	e, err := NewEngine(g, EngineConfig{MemoryBudgetBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	n, err := e.WarmCache(ctx, []WarmEndpoint{{Origin: 3, Forward: true, K: 4}, {Origin: 9, Forward: false, K: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rejected := e.CacheStats().Rejected; n != 0 || rejected != 0 {
-		t.Fatalf("warmed %d endpoints with %d refused deposits, want 0 and 0", n, rejected)
-	}
-	if _, err := e.WarmCache(ctx, []WarmEndpoint{{Origin: VertexID(g.NumVertices()), Forward: true, K: 4}}); err == nil {
-		t.Fatal("out-of-range origin must error under any budget")
-	}
-}

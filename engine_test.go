@@ -224,45 +224,6 @@ func TestEngineExecuteWithCancel(t *testing.T) {
 	}
 }
 
-// TestEngineExecuteAllContextFailFast: a cancelled batch context marks the
-// unstarted queries with the context error instead of running them.
-func TestEngineExecuteAllContextFailFast(t *testing.T) {
-	g := engineGraph()
-	e, err := NewEngine(g, EngineConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := engineQueries(8, 3, g.NumVertices())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results, errs := e.ExecuteAllContext(ctx, queries, Options{})
-	for i := range queries {
-		if errs[i] == nil || results[i] != nil {
-			t.Fatalf("slot %d: err=%v result=%v, want fail-fast ctx error", i, errs[i], results[i])
-		}
-	}
-}
-
-// TestEngineExecuteAllContextOptions: batch-wide overrides reach every
-// query.
-func TestEngineExecuteAllContextOptions(t *testing.T) {
-	g := gen.Layered(5, 3)
-	e, err := NewEngine(g, EngineConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{S: 0, T: 1, K: 4} // 125 paths
-	results, errs := e.ExecuteAllContext(context.Background(), []Query{q, q, q}, Options{Limit: 7})
-	for i := range results {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if results[i].Counters.Results != 7 {
-			t.Fatalf("slot %d: %d results, want 7", i, results[i].Counters.Results)
-		}
-	}
-}
-
 // TestEngineExecuteWithRace exercises pooled sessions concurrently through
 // the context entry point with mixed per-call options (run under -race in
 // CI).

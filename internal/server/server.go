@@ -36,8 +36,6 @@ type Engine interface {
 	Insert(from, to pathenum.VertexID) (bool, error)
 	Flush() error
 	ExecuteWith(ctx context.Context, q pathenum.Query, opts pathenum.Options) (*pathenum.Result, error)
-	ExecuteAllContext(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) ([]*pathenum.Result, []error)
-	ExecuteBatch(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) ([]*pathenum.Result, []error, *pathenum.BatchStats)
 	Stream(ctx context.Context, req pathenum.Request) iter.Seq2[pathenum.Path, error]
 	StreamBatch(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) iter.Seq[pathenum.BatchItem]
 }
@@ -650,21 +648,17 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 
 // batchRequest is the JSON body of POST /batch: a list of queries answered
 // against the shared engine, plus batch-wide option overrides. Responses
-// carry counts only (no path materialization). Naive opts out of
-// ExecuteBatch's dedup and endpoint order and fans the queries out
-// independently (the ExecuteAllContext baseline).
+// carry counts only (no path materialization).
 type batchRequest struct {
 	Queries []queryRequest `json:"queries"`
 	Method  string         `json:"method,omitempty"`
 	Limit   uint64         `json:"limit,omitempty"`
 	Timeout string         `json:"timeout,omitempty"`
-	Naive   bool           `json:"naive,omitempty"`
 	// Stream switches the response to NDJSON with per-query flush: one
 	// {"index":i,...} line the moment each query's execution settles
 	// (completion order, not input order), closed by a {"done":true,...}
 	// line carrying the batch stats. Client disconnect cancels the
-	// remaining work fail-fast. Mutually exclusive with Naive — streaming
-	// delivery is a property of Engine.StreamBatch.
+	// remaining work fail-fast.
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -694,9 +688,31 @@ type batchResult struct {
 	Error     string `json:"error,omitempty"`
 }
 
+// batchLine is one NDJSON line of a streaming /batch response: the result
+// (or error) of the query at the request's Index position, flushed as its
+// execution settles.
+type batchLine struct {
+	Index int `json:"index"`
+	batchResult
+}
+
+// batchDoneLine closes a streaming /batch response.
+type batchDoneLine struct {
+	Done   bool        `json:"done"`
+	Millis float64     `json:"ms"`
+	Stats  *batchStats `json:"stats,omitempty"`
+}
+
 // maxBatchQueries bounds one POST /batch body.
 const maxBatchQueries = 10000
 
+// handleBatch serves both wire forms of /batch from Engine.StreamBatch:
+// the JSON form collects the items into their slots and reads the final
+// stats item, the NDJSON form ("stream":true) writes wire-rejected slots
+// first, then one line per query in completion order, then the done line
+// with the stats. Write failures (client disconnect) abandon the stream,
+// which cancels the remaining work through the request context with
+// StreamBatch's fail-fast semantics.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -714,10 +730,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	opts, err := parseOptions(req.Method, req.Limit, req.Timeout, 0)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Stream && req.Naive {
-		httpError(w, http.StatusBadRequest, "stream and naive are mutually exclusive")
 		return
 	}
 
@@ -740,48 +752,61 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		slots = append(slots, i)
 	}
 
+	enc := json.NewEncoder(w)
+	flusher, _ := w.(http.Flusher)
+	// write sends one NDJSON line and flushes it; false means the client
+	// is gone.
+	write := func(v any) bool {
+		if err := enc.Encode(v); err != nil {
+			return false
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	}
 	if req.Stream {
-		s.streamBatch(w, r, opts, out, queries, slots)
-		return
+		w.Header().Set("Content-Type", ndjsonContentType)
+		for i := range out {
+			if out[i].Error != "" && !write(batchLine{Index: i, batchResult: out[i]}) {
+				return
+			}
+		}
 	}
 
-	// ExecuteBatch is the default path: it dedups identical queries and
-	// runs queries sharing an endpoint back to back over the frontier
-	// cache, reporting the BFS passes it saved in the response stats.
-	// "naive":true keeps the independent fan-out for comparison.
 	start := time.Now()
 	var (
-		results []*pathenum.Result
-		errs    []error
-		stats   *pathenum.BatchStats
+		delivered uint64
+		stats     *batchStats
 	)
-	if req.Naive {
-		results, errs = s.engine.ExecuteAllContext(r.Context(), queries, opts)
-	} else {
-		results, errs, stats = s.engine.ExecuteBatch(r.Context(), queries, opts)
-	}
-	var delivered uint64
-	for j, i := range slots {
-		if errs[j] != nil {
-			out[i].Error = errs[j].Error()
+	for item := range s.engine.StreamBatch(r.Context(), queries, opts) {
+		if item.Index < 0 {
+			st := s.toBatchStats(item.Stats, len(out), len(out)-len(queries))
+			stats = &st
 			continue
 		}
-		out[i] = batchResult{
-			Count:     results[j].Counters.Results,
-			Completed: results[j].Completed,
-			Plan:      results[j].Plan.Method.String(),
+		i := slots[item.Index]
+		if item.Err != nil {
+			out[i].Error = item.Err.Error()
+		} else {
+			out[i] = batchResult{
+				Count:     item.Result.Counters.Results,
+				Completed: item.Result.Completed,
+				Plan:      item.Result.Plan.Method.String(),
+			}
+			delivered += out[i].Count
 		}
-		delivered += results[j].Counters.Results
+		if req.Stream && !write(batchLine{Index: i, batchResult: out[i]}) {
+			return
+		}
 	}
 	annotate(r, "batch", delivered)
-	resp := map[string]any{
-		"results": out,
-		"ms":      float64(time.Since(start)) / float64(time.Millisecond),
+	ms := float64(time.Since(start)) / float64(time.Millisecond)
+	if req.Stream {
+		write(batchDoneLine{Done: true, Millis: ms, Stats: stats})
+		return
 	}
-	if stats != nil {
-		resp["stats"] = s.toBatchStats(stats, len(req.Queries), len(req.Queries)-len(queries))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]any{"results": out, "ms": ms, "stats": stats})
 }
 
 // toBatchStats converts the engine stats to the wire form. The engine
@@ -800,81 +825,6 @@ func (s *Server) toBatchStats(stats *pathenum.BatchStats, totalQueries, rejected
 		CacheHits:      stats.FrontierCacheHits,
 		CacheMisses:    stats.FrontierCacheMisses,
 		Epoch:          s.engine.Epoch(),
-	}
-}
-
-// batchLine is one NDJSON line of a streaming /batch response: the result
-// (or error) of the query at the request's Index position, flushed as its
-// execution settles.
-type batchLine struct {
-	Index     int    `json:"index"`
-	Count     uint64 `json:"count"`
-	Completed bool   `json:"completed"`
-	Plan      string `json:"plan,omitempty"`
-	Error     string `json:"error,omitempty"`
-}
-
-// batchDoneLine closes a streaming /batch response.
-type batchDoneLine struct {
-	Done   bool        `json:"done"`
-	Millis float64     `json:"ms"`
-	Stats  *batchStats `json:"stats,omitempty"`
-}
-
-// streamBatch serves the NDJSON form of /batch: wire-rejected slots
-// first, then one line per query in completion order via
-// Engine.StreamBatch, then the done line with the batch stats. Write
-// failures (client disconnect) abandon the stream, which cancels the
-// remaining work through the request context with StreamBatch's
-// fail-fast semantics.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, opts pathenum.Options, out []batchResult, queries []pathenum.Query, slots []int) {
-	w.Header().Set("Content-Type", ndjsonContentType)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	rejected := 0
-	for i := range out {
-		if out[i].Error == "" {
-			continue
-		}
-		rejected++
-		if err := enc.Encode(batchLine{Index: i, Error: out[i].Error}); err != nil {
-			return
-		}
-		flush()
-	}
-
-	start := time.Now()
-	var delivered uint64
-	for item := range s.engine.StreamBatch(r.Context(), queries, opts) {
-		if item.Index == -1 {
-			done := batchDoneLine{Done: true, Millis: float64(time.Since(start)) / float64(time.Millisecond)}
-			if item.Stats != nil {
-				st := s.toBatchStats(item.Stats, len(out), rejected)
-				done.Stats = &st
-			}
-			annotate(r, "batch", delivered)
-			_ = enc.Encode(done)
-			flush()
-			return
-		}
-		line := batchLine{Index: slots[item.Index]}
-		if item.Err != nil {
-			line.Error = item.Err.Error()
-		} else {
-			line.Count = item.Result.Counters.Results
-			line.Completed = item.Result.Completed
-			line.Plan = item.Result.Plan.Method.String()
-			delivered += line.Count
-		}
-		if err := enc.Encode(line); err != nil {
-			return
-		}
-		flush()
 	}
 }
 

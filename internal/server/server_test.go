@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 
 	"pathenum"
 	"pathenum/internal/gen"
+	"pathenum/internal/shard"
 )
 
 // testServer serves the diamond graph 0 -> {1,2} -> 3 plus 3 -> 0.
@@ -356,19 +358,129 @@ func TestBatchStatsTwoSided(t *testing.T) {
 	}
 }
 
-// TestBatchNaiveFallback: "naive":true keeps the independent fan-out and
-// omits the stats block.
-func TestBatchNaiveFallback(t *testing.T) {
+// TestBatchIgnoresNaiveField: the retired "naive" field is an unknown
+// field now, so an old client still gets the deduped answer, with stats,
+// in both wire forms.
+func TestBatchIgnoresNaiveField(t *testing.T) {
 	ts := testServer(t, nil)
-	resp, br := postBatch(t, ts, `{"queries":[{"s":0,"t":3,"k":3},{"s":1,"t":3,"k":3}],"naive":true}`)
+	queries := `[{"s":0,"t":3,"k":3},{"s":1,"t":3,"k":3},{"s":0,"t":3,"k":3}]`
+	resp, br := postBatch(t, ts, `{"naive":true,"queries":`+queries+`}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if br.Stats != nil {
-		t.Fatalf("naive batch must not report planner stats, got %+v", br.Stats)
+	streamed, stats := postBatchStream(t, ts, `{"stream":true,"naive":true,"queries":`+queries+`}`)
+	for form, got := range map[string]struct {
+		results []batchResult
+		stats   *batchStats
+	}{"json": {br.Results, br.Stats}, "ndjson": {streamed, stats}} {
+		if got.stats == nil || got.stats.Deduped != 1 || got.stats.Unique != 2 {
+			t.Fatalf("%s stats = %+v, want Deduped=1 Unique=2", form, got.stats)
+		}
+		if got.results[0].Count != 2 || got.results[1].Count != 1 || got.results[2].Count != 2 {
+			t.Fatalf("%s counts wrong: %+v", form, got.results)
+		}
 	}
-	if br.Results[0].Count != 2 || br.Results[1].Count != 1 {
-		t.Fatalf("naive counts wrong: %+v", br.Results)
+}
+
+// postBatchStream posts a "stream":true /batch body and collects its
+// NDJSON lines back into request order, with the done line's stats.
+func postBatchStream(t *testing.T, ts *httptest.Server, body string) ([]batchResult, *batchStats) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	var out []batchResult
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var line struct {
+			Index int `json:"index"`
+			batchResult
+			Done  bool        `json:"done"`
+			Stats *batchStats `json:"stats"`
+		}
+		if err := dec.Decode(&line); err != nil {
+			t.Fatal(err)
+		}
+		if line.Done {
+			return out, line.Stats
+		}
+		for len(out) <= line.Index {
+			out = append(out, batchResult{})
+		}
+		out[line.Index] = line.batchResult
+	}
+	t.Fatal("stream ended without a done line")
+	return nil, nil
+}
+
+// TestShardedBatchStats: /batch over a 2-shard engine answers one batch —
+// a cross-shard query, an intra-shard one, a duplicate and an s == t
+// query — with the same per-slot counts in both wire forms, and both
+// report the s == t query as invalid and the duplicate as deduped.
+func TestShardedBatchStats(t *testing.T) {
+	g := gen.BarabasiAlbert(200, 4, 9)
+	eng, err := shard.New(g, 2, shard.Config{Engine: pathenum.EngineConfig{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(eng, nil, Config{}).Handler())
+	t.Cleanup(ts.Close)
+	var cross, intra *pathenum.Query
+	for s := 0; s < 200 && (cross == nil || intra == nil); s++ {
+		for x := 0; x < 200; x++ {
+			q := pathenum.Query{S: pathenum.VertexID(s), T: pathenum.VertexID(x), K: 4}
+			if c, cerr := pathenum.Count(g, q); s == x || cerr != nil || c == 0 {
+				continue
+			}
+			switch same := eng.Owner(q.S) == eng.Owner(q.T); {
+			case same && intra == nil:
+				intra = &q
+			case !same && cross == nil:
+				cross = &q
+			}
+		}
+	}
+	if cross == nil || intra == nil {
+		t.Fatal("fixture: no cross- and intra-shard query with results")
+	}
+	batch := []pathenum.Query{*cross, *intra, *cross, {S: intra.S, T: intra.S, K: 4}}
+	var sb strings.Builder
+	for i, q := range batch {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, `{"s":%d,"t":%d,"k":%d}`, q.S, q.T, q.K)
+	}
+	queries := "[" + sb.String() + "]"
+	resp, br := postBatch(t, ts, `{"queries":`+queries+`}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	streamed, stats := postBatchStream(t, ts, `{"stream":true,"queries":`+queries+`}`)
+	for form, got := range map[string]struct {
+		results []batchResult
+		stats   *batchStats
+	}{"json": {br.Results, br.Stats}, "ndjson": {streamed, stats}} {
+		if got.stats == nil || got.stats.Queries != 4 || got.stats.Invalid != 1 || got.stats.Deduped != 1 || got.stats.Unique != 2 {
+			t.Fatalf("%s stats = %+v, want Queries=4 Invalid=1 Deduped=1 Unique=2", form, got.stats)
+		}
+		if len(got.results) != len(batch) || got.results[3].Error == "" {
+			t.Fatalf("%s results = %+v, want the s == t slot to carry an error", form, got.results)
+		}
+		for i, q := range batch[:3] {
+			want, err := pathenum.Count(g, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := got.results[i]; r.Error != "" || r.Count != want || !r.Completed {
+				t.Fatalf("%s slot %d (%v) = %+v, want %d paths", form, i, q, r, want)
+			}
+		}
 	}
 }
 
@@ -823,19 +935,5 @@ func TestBatchStreamNDJSON(t *testing.T) {
 	}
 	if e, _ := byIndex[1]["error"].(string); e == "" {
 		t.Fatalf("index 1 (unknown vertex) must carry an error: %v", byIndex[1])
-	}
-}
-
-// TestBatchStreamNaiveConflict: stream+naive is a contract error.
-func TestBatchStreamNaiveConflict(t *testing.T) {
-	ts := testServer(t, nil)
-	resp, err := http.Post(ts.URL+"/batch", "application/json",
-		strings.NewReader(`{"stream":true,"naive":true,"queries":[{"s":0,"t":3,"k":3}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
 }

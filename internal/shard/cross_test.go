@@ -250,7 +250,7 @@ func TestCrossSeamLabelingObserved(t *testing.T) {
 	if r, _ := e.classify(e.capture(), q, false); want == 0 || r.kind != routeCross || r.fallbackNeeded {
 		t.Fatalf("fixture: q=%v has %d paths on route %+v, want a cross route with no remainder", q, want, r)
 	}
-	res, err := e.Execute(q)
+	res, err := e.ExecuteWith(context.Background(), q, pathenum.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,10 @@ type Config struct {
 }
 
 // Engine executes hop-constrained s-t path queries over an edge-cut
-// partitioned graph behind the same surface as pathenum.Engine — Stream,
-// Execute/ExecuteWith, ExecuteBatch/StreamBatch, Insert/Flush — so the
-// HTTP layer serves either through one interface.
+// partitioned graph behind the server.Engine surface of pathenum.Engine —
+// Stream, ExecuteWith, StreamBatch, Insert/Flush — so the HTTP layer
+// serves either through one interface. Batches are not routed: StreamBatch
+// runs on the full-image constituent.
 //
 // Routing: a query whose endpoints are co-owned by shard A and provably
 // confined there (A has no out-cut or no in-cut edges) delegates to shard
@@ -253,10 +254,6 @@ func (e *Engine) PoolStats() pathenum.PoolStats {
 	ps.InFlightShards += int(e.inShards.Load())
 	return ps
 }
-
-// totalWorkers is the fan-out bound for the sharding layer's own
-// dispatch loops.
-func (e *Engine) totalWorkers() int { return e.subWorkers * e.p }
 
 // track mirrors pathenum.Engine.track for phased executions.
 func (e *Engine) track(parallelism int) func() {
@@ -714,11 +711,6 @@ func (e *Engine) remainderFilter(r route) func(pathenum.Path) bool {
 	}
 }
 
-// Execute runs one query with the constituent defaults.
-func (e *Engine) Execute(q pathenum.Query) (*pathenum.Result, error) {
-	return e.ExecuteWith(context.Background(), q, pathenum.Options{})
-}
-
 // ExecuteWith is the callback twin of Stream: confined intra queries
 // delegate straight to the owner shard's ExecuteWith (pooled session,
 // reused emit buffer — the untouched spine), everything else consumes
@@ -749,183 +741,12 @@ func (e *Engine) ExecuteWith(ctx context.Context, q pathenum.Query, opts pathenu
 	return res, nil
 }
 
-// ExecuteAll runs the queries across the shard pools in input order.
-func (e *Engine) ExecuteAll(queries []pathenum.Query) ([]*pathenum.Result, []error) {
-	return e.ExecuteAllContext(context.Background(), queries, pathenum.Options{})
-}
-
-// ExecuteAllContext mirrors pathenum.Engine.ExecuteAllContext: an
-// independent fan-out bounded by the aggregate worker count, fail-fast
-// on ctx.
-func (e *Engine) ExecuteAllContext(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) ([]*pathenum.Result, []error) {
-	results := make([]*pathenum.Result, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.totalWorkers())
-dispatch:
-	for i, q := range queries {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			for j := i; j < len(queries); j++ {
-				errs[j] = ctx.Err()
-			}
-			break dispatch
-		}
-		wg.Add(1)
-		go func(i int, q pathenum.Query) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = e.ExecuteWith(ctx, q, opts)
-		}(i, q)
-	}
-	wg.Wait()
-	return results, errs
-}
-
-// ExecuteBatch routes a batch by shard: queries confined to one shard
-// run through that shard's ExecuteBatch (dedup, endpoint order, the
-// shard's frontier cache) as one sub-batch, concurrently across shards;
-// the boundary-involved remainder fans out through the phased path. The
-// merged stats sum the per-shard reports, with routed singles accounted
-// as naive executions (two passes each).
-func (e *Engine) ExecuteBatch(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) ([]*pathenum.Result, []error, *pathenum.BatchStats) {
-	start := time.Now()
-	results := make([]*pathenum.Result, len(queries))
-	errs := make([]error, len(queries))
-	stats := &pathenum.BatchStats{Queries: len(queries)}
-	v := e.capture()
-	perShard := make(map[int][]int)
-	var singles []int
-	for i, q := range queries {
-		r, err := e.classify(v, q, false)
-		if err != nil {
-			errs[i] = err
-			stats.Invalid++
-			continue
-		}
-		e.m.observe(r)
-		if r.kind == routeIntra && !r.fallbackNeeded {
-			perShard[r.a] = append(perShard[r.a], i)
-		} else {
-			singles = append(singles, i)
-		}
-	}
-
-	var (
-		wg sync.WaitGroup
-		sm sync.Mutex // guards stats merging
-	)
-	for s, idxs := range perShard {
-		wg.Add(1)
-		go func(s int, idxs []int) {
-			defer wg.Done()
-			qs := make([]pathenum.Query, len(idxs))
-			for j, i := range idxs {
-				qs[j] = queries[i]
-			}
-			res, es, st := e.subs[s].ExecuteBatch(ctx, qs, opts)
-			for j, i := range idxs {
-				results[i], errs[i] = res[j], es[j]
-			}
-			if st != nil {
-				sm.Lock()
-				addBatchStats(stats, st)
-				sm.Unlock()
-			}
-		}(s, idxs)
-	}
-	sem := make(chan struct{}, e.totalWorkers())
-	for _, i := range singles {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			errs[i] = ctx.Err()
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = e.ExecuteWith(ctx, queries[i], opts)
-		}(i)
-	}
-	wg.Wait()
-	stats.Unique += len(singles)
-	stats.BFSPassesNaive += 2 * len(singles)
-	stats.BFSPassesRun += 2 * len(singles)
-	stats.Elapsed = time.Since(start)
-	return results, errs, stats
-}
-
-// addBatchStats folds one shard sub-batch's report into the merged stats
-// (Queries/Invalid/Elapsed are batch-level and excluded).
-func addBatchStats(dst, src *pathenum.BatchStats) {
-	dst.Unique += src.Unique
-	dst.Deduped += src.Deduped
-	dst.BFSPassesNaive += src.BFSPassesNaive
-	dst.BFSPassesSaved += src.BFSPassesSaved
-	dst.BFSPassesRun += src.BFSPassesRun
-	dst.FrontierCacheHits += src.FrontierCacheHits
-	dst.FrontierCacheMisses += src.FrontierCacheMisses
-}
-
-// StreamBatch delivers per-query results in completion order with the
-// BatchItem contract of pathenum.Engine.StreamBatch. Routing is
-// per-query (each item takes its classified path); cross-shard batches
-// do not yet share computation across the boundary, so the trailing
-// stats item reports the batch shape only.
+// StreamBatch is pathenum.Engine.StreamBatch on the full image: the
+// full-image constituent answers every query, so a sharded batch keeps
+// dedupe, endpoint order, a frontier cache and accurate stats without
+// routing (routing inside one process only adds cost to a query the full
+// image can answer alone). Batch members therefore do not move the
+// per-route counters.
 func (e *Engine) StreamBatch(ctx context.Context, queries []pathenum.Query, opts pathenum.Options) iter.Seq[pathenum.BatchItem] {
-	return func(yield func(pathenum.BatchItem) bool) {
-		start := time.Now()
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		type settled struct {
-			i   int
-			res *pathenum.Result
-			err error
-		}
-		// Full-size buffer: workers never block on a slow consumer, and
-		// the abandon path can drain without deadlock.
-		ch := make(chan settled, len(queries))
-		go func() {
-			defer close(ch)
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, e.totalWorkers())
-		dispatch:
-			for i, q := range queries {
-				select {
-				case sem <- struct{}{}:
-				case <-ctx.Done():
-					for j := i; j < len(queries); j++ {
-						ch <- settled{i: j, err: ctx.Err()}
-					}
-					break dispatch
-				}
-				wg.Add(1)
-				go func(i int, q pathenum.Query) {
-					defer wg.Done()
-					defer func() { <-sem }()
-					res, err := e.ExecuteWith(ctx, q, opts)
-					ch <- settled{i: i, res: res, err: err}
-				}(i, q)
-			}
-			wg.Wait()
-		}()
-		defer func() {
-			cancel()
-			for range ch { //nolint:revive // drain until the dispatcher exits
-			}
-		}()
-		for s := range ch {
-			if !yield(pathenum.BatchItem{Index: s.i, Result: s.res, Err: s.err}) {
-				return
-			}
-		}
-		yield(pathenum.BatchItem{Index: -1, Stats: &pathenum.BatchStats{
-			Queries: len(queries),
-			Unique:  len(queries),
-			Elapsed: time.Since(start),
-		}})
-	}
+	return e.fallback.StreamBatch(ctx, queries, opts)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,7 +131,7 @@ func TestShardExecuteAgreement(t *testing.T) {
 		e := newShardEngine(t, g, p)
 		intra, cross := pickQueries(t, e, g, 4, 37)
 		for _, q := range []pathenum.Query{intra, cross} {
-			res, err := e.Execute(q)
+			res, err := e.ExecuteWith(context.Background(), q, pathenum.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +264,11 @@ func TestShardInsertRouting(t *testing.T) {
 	}
 }
 
-func TestShardExecuteBatchAgreement(t *testing.T) {
+// TestShardStreamBatchAgreement: a sharded batch over random intra- and
+// cross-shard queries, with one duplicate and one s == t query, answers
+// every slot with the single-image count and reports what the full-image
+// batch folded: one invalid, one deduped.
+func TestShardStreamBatchAgreement(t *testing.T) {
 	g := testGraph(29)
 	e := newShardEngine(t, g, 4)
 	rng := rand.New(rand.NewSource(59))
@@ -272,21 +277,28 @@ func TestShardExecuteBatchAgreement(t *testing.T) {
 	for len(qs) < 24 {
 		s := pathenum.VertexID(rng.Intn(n))
 		tt := pathenum.VertexID(rng.Intn(n))
-		if s == tt {
+		if s == tt || slices.Contains(qs, pathenum.Query{S: s, T: tt, K: 4}) {
 			continue
 		}
 		qs = append(qs, pathenum.Query{S: s, T: tt, K: 4})
 	}
+	qs = append(qs, qs[3])                                        // duplicate
 	qs = append(qs, pathenum.Query{S: qs[0].S, T: qs[0].S, K: 4}) // invalid: s == t
-	results, errs, stats := e.ExecuteBatch(context.Background(), qs, pathenum.Options{})
-	if stats == nil || stats.Queries != len(qs) {
-		t.Fatalf("stats %+v", stats)
+	results := make([]*pathenum.Result, len(qs))
+	errs := make([]error, len(qs))
+	var stats *pathenum.BatchStats
+	for item := range e.StreamBatch(context.Background(), qs, pathenum.Options{}) {
+		if item.Index < 0 {
+			stats = item.Stats
+			continue
+		}
+		results[item.Index], errs[item.Index] = item.Result, item.Err
+	}
+	if stats == nil || stats.Queries != len(qs) || stats.Invalid != 1 || stats.Deduped != 1 || stats.Unique != 24 {
+		t.Fatalf("stats %+v, want Queries=%d Invalid=1 Deduped=1 Unique=24", stats, len(qs))
 	}
 	if errs[len(qs)-1] == nil {
 		t.Fatal("invalid query must error")
-	}
-	if stats.Invalid != 1 {
-		t.Fatalf("stats.Invalid = %d, want 1", stats.Invalid)
 	}
 	for i, q := range qs[:len(qs)-1] {
 		if errs[i] != nil {
@@ -346,7 +358,7 @@ func TestShardMetricsExported(t *testing.T) {
 	}
 	intra, cross := pickQueries(t, e, g, 4, 67)
 	for _, q := range []pathenum.Query{intra, cross} {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.ExecuteWith(context.Background(), q, pathenum.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}

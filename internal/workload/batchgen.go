@@ -37,13 +37,6 @@ type BatchOptions struct {
 	// MaxDist bounds dist(hub, partner) so queries are non-trivial,
 	// following §7.1 (default 3).
 	MaxDist int
-	// TwoSided switches to hub-to-hub generation: a grid of GroupSize
-	// source hubs crossed with enough target hubs to reach Count, so every
-	// query shares its source with one cluster AND its target with
-	// another. This is the workload the two-sided planner exists for —
-	// Count queries touch only GroupSize + Count/GroupSize distinct
-	// endpoints.
-	TwoSided bool
 	// TopFrac selects the high-degree hub pool as in Split (default 0.10).
 	TopFrac float64
 	// Seed drives sampling.
@@ -94,9 +87,6 @@ func GenerateBatch(g *graph.Graph, opts BatchOptions) ([]BatchQuery, error) {
 	n := g.NumVertices()
 
 	fresh := opts.Count - int(opts.DupFrac*float64(opts.Count))
-	if opts.TwoSided {
-		return generateTwoSided(g, opts, hubs, rng, dist, fresh)
-	}
 	queries := make([]BatchQuery, 0, opts.Count)
 	tries := 0
 	for len(queries) < fresh && tries < opts.MaxTries {
@@ -131,76 +121,6 @@ func GenerateBatch(g *graph.Graph, opts BatchOptions) ([]BatchQuery, error) {
 		return queries, fmt.Errorf("%w: got %d of %d", ErrNoQueries, len(queries), fresh)
 	}
 	// Salt with exact duplicates of earlier queries.
-	for len(queries) < opts.Count {
-		queries = append(queries, queries[rng.Intn(len(queries))])
-	}
-	return queries, nil
-}
-
-// generateTwoSided emits a hub-to-hub grid: GroupSize distinct source
-// hubs crossed with ceil(fresh/GroupSize) distinct target hubs, each
-// target reachable within MaxDist from every chosen source. Queries are
-// emitted row-major (source-major) and truncated to fresh, then salted
-// with duplicates like the one-sided path. The resulting batch has every
-// query in both a shared-source and a shared-target cluster, which is
-// the worst case for one-sided grouping and the reason the planner's
-// bipartite pass exists.
-func generateTwoSided(g *graph.Graph, opts BatchOptions, hubs []graph.VertexID, rng *rand.Rand, dist *boundedBFS, fresh int) ([]BatchQuery, error) {
-	nSrc := opts.GroupSize
-	if nSrc > fresh {
-		nSrc = fresh
-	}
-	nTgt := (fresh + nSrc - 1) / nSrc
-	if len(hubs) < nSrc+nTgt {
-		return nil, fmt.Errorf("workload: hub pool %d too small for a %dx%d two-sided grid", len(hubs), nSrc, nTgt)
-	}
-
-	tries := 0
-	srcs := make([]graph.VertexID, 0, nSrc)
-	taken := make(map[graph.VertexID]bool)
-	for len(srcs) < nSrc && tries < opts.MaxTries {
-		tries++
-		h := hubs[rng.Intn(len(hubs))]
-		if taken[h] {
-			continue
-		}
-		taken[h] = true
-		srcs = append(srcs, h)
-	}
-	tgts := make([]graph.VertexID, 0, nTgt)
-	for len(tgts) < nTgt && tries < opts.MaxTries {
-		tries++
-		h := hubs[rng.Intn(len(hubs))]
-		if taken[h] {
-			continue
-		}
-		ok := true
-		for _, s := range srcs {
-			if !dist.within(s, h, opts.MaxDist) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		taken[h] = true
-		tgts = append(tgts, h)
-	}
-	if len(srcs) < nSrc || len(tgts) < nTgt {
-		return nil, fmt.Errorf("%w: two-sided grid %dx%d incomplete (%d sources, %d targets)",
-			ErrNoQueries, nSrc, nTgt, len(srcs), len(tgts))
-	}
-
-	queries := make([]BatchQuery, 0, opts.Count)
-	for _, s := range srcs {
-		for _, t := range tgts {
-			if len(queries) == fresh {
-				break
-			}
-			queries = append(queries, BatchQuery{S: s, T: t, K: opts.K})
-		}
-	}
 	for len(queries) < opts.Count {
 		queries = append(queries, queries[rng.Intn(len(queries))])
 	}

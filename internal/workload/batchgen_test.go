@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"pathenum/internal/gen"
@@ -55,62 +56,33 @@ func TestGenerateBatchStructure(t *testing.T) {
 	}
 }
 
-func TestGenerateBatchTwoSided(t *testing.T) {
+// TestGenerateBatchDupFracComposes: salting with duplicates keeps the
+// fresh part of the batch — the same seed yields the same first queries —
+// and every duplicate repeats one of them, so the salted batch touches
+// no endpoint the fresh queries do not.
+func TestGenerateBatchDupFracComposes(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 5, 17)
-	queries, err := GenerateBatch(g, BatchOptions{Count: 64, K: 6, GroupSize: 8, TwoSided: true, Seed: 9})
+	plain, err := GenerateBatch(g, BatchOptions{Count: 64, K: 6, GroupSize: 8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(queries) != 64 {
-		t.Fatalf("got %d queries, want 64", len(queries))
-	}
-	srcs := make(map[graph.VertexID]int)
-	tgts := make(map[graph.VertexID]int)
-	b := newBoundedBFS(g)
-	for _, q := range queries {
-		if q.S == q.T {
-			t.Fatalf("degenerate query %+v", q)
-		}
-		if !b.within(q.S, q.T, 3) {
-			t.Fatalf("query %+v: dist > default MaxDist", q)
-		}
-		srcs[q.S]++
-		tgts[q.T]++
-	}
-	// An 8x8 grid: 8 distinct sources each used 8 times, 8 distinct
-	// targets each used 8 times — every query shares both endpoints.
-	if len(srcs) != 8 || len(tgts) != 8 {
-		t.Fatalf("got %d sources x %d targets, want 8x8", len(srcs), len(tgts))
-	}
-	for v, c := range srcs {
-		if c != 8 {
-			t.Errorf("source %d used %d times, want 8", v, c)
-		}
-	}
-	for v, c := range tgts {
-		if c != 8 {
-			t.Errorf("target %d used %d times, want 8", v, c)
-		}
-	}
-
-	// DupFrac composes: a salted grid still only touches the grid hubs.
-	salted, err := GenerateBatch(g, BatchOptions{Count: 64, K: 6, GroupSize: 8, TwoSided: true, DupFrac: 0.25, Seed: 9})
+	salted, err := GenerateBatch(g, BatchOptions{Count: 64, K: 6, GroupSize: 8, DupFrac: 0.25, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
+	}
+	const fresh = 48 // 64 - 0.25*64
+	if len(salted) != 64 || !slices.Equal(salted[:fresh], plain[:fresh]) {
+		t.Fatalf("salted batch of %d does not keep the %d fresh queries of the plain one", len(salted), fresh)
 	}
 	uniq := make(map[BatchQuery]bool)
 	for _, q := range salted {
 		uniq[q] = true
-	}
-	if len(salted) != 64 || len(uniq) >= 64 {
-		t.Fatalf("DupFrac=0.25: %d queries, %d unique — expected duplicates", len(salted), len(uniq))
-	}
-	for q := range uniq {
-		if srcs[q.S] == 0 && tgts[q.S] == 0 {
-			// Sources may differ across seeds of the two calls only if the
-			// rng stream diverged; same seed + same opts prefix keeps it.
-			t.Fatalf("salted query %+v uses a non-grid source", q)
+		if !slices.Contains(plain[:fresh], q) {
+			t.Fatalf("salted query %+v is not one of the fresh queries", q)
 		}
+	}
+	if len(uniq) >= 64 {
+		t.Fatalf("DupFrac=0.25: %d unique of 64, expected duplicates", len(uniq))
 	}
 }
 

@@ -21,22 +21,22 @@ type MetricsRegistry = obs.Registry
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // metricOp indexes the request-op dimension of the pathenum_requests_total /
-// pathenum_request_duration_seconds families: the four public execution
-// surfaces. Ints, not label strings, so the request path indexes fixed
-// arrays instead of hashing map keys. ExecuteAll rides on opExecute (it
-// fans out to ExecuteWith).
+// pathenum_request_duration_seconds families: single queries (Execute,
+// ExecuteWith), streams, and batches (every surface over Engine.batch:
+// ExecuteBatch, StreamBatch, ExecuteAll, CountAll). Ints, not label
+// strings, so the request path indexes fixed arrays instead of hashing map
+// keys.
 type metricOp int
 
 const (
 	opExecute metricOp = iota
 	opStream
 	opBatch
-	opStreamBatch
 	numOps
 )
 
 // opNames are the "op" label values, aligned with the constants.
-var opNames = [numOps]string{"execute", "stream", "batch", "stream_batch"}
+var opNames = [numOps]string{"execute", "stream", "batch"}
 
 // metricStage indexes pathenum_stage_duration_seconds. bfs is the
 // distance-labeling passes, index_build the light-index construction net

@@ -98,11 +98,12 @@ func TestMetricsBatchSurfaces(t *testing.T) {
 	for range e.StreamBatch(context.Background(), qs, pathenum.Options{}) {
 	}
 	snap := reg.Snapshot()
-	if got := snap[`pathenum_requests_total{op="batch"}`]; got != 1 {
-		t.Fatalf("batch requests = %v", got)
+	// Both surfaces are one op: each call is one batch request.
+	if got := snap[`pathenum_requests_total{op="batch"}`]; got != 2 {
+		t.Fatalf("batch requests = %v, want 2", got)
 	}
-	if got := snap[`pathenum_requests_total{op="stream_batch"}`]; got != 1 {
-		t.Fatalf("stream_batch requests = %v", got)
+	if _, ok := snap[`pathenum_requests_total{op="stream_batch"}`]; ok {
+		t.Fatal(`op="stream_batch" is registered; StreamBatch must count as op="batch"`)
 	}
 	if got := snap[`pathenum_batch_queries_total`]; got != 6 {
 		t.Fatalf("batch queries = %v, want 6", got)
@@ -112,8 +113,8 @@ func TestMetricsBatchSurfaces(t *testing.T) {
 	if got := snap[`pathenum_requests_total{op="execute"}`]; got != 0 {
 		t.Fatalf("execute requests = %v, want 0: batch members counted as single queries", got)
 	}
-	if got := snap[`pathenum_request_duration_seconds{op="stream_batch"}_count`]; got != 1 {
-		t.Fatalf("stream_batch duration count = %v", got)
+	if got := snap[`pathenum_request_duration_seconds{op="batch"}_count`]; got != 2 {
+		t.Fatalf("batch duration count = %v, want 2", got)
 	}
 	// Stage timings fold in once per unique execution — 2 unique from the
 	// batch + 2 unique from the streaming batch — but the stage

@@ -30,18 +30,17 @@
 // Enumerate, Paths, Count and the Engine's Execute methods remain as
 // documented wrappers over the same executor spine.
 //
-// Query batches should run through the Engine: ExecuteAllContext fans
-// queries out independently across a worker pool, and ExecuteBatch
-// answers duplicate queries once and runs the rest in endpoint order on
-// one captured graph view, so queries sharing a source or target share
-// that side's BFS frontier through the engine's cache, filled
-// single-flight; Engine.StreamBatch is its streaming variant, flushing
-// per-query results as they settle. On
-// mutating graphs the engine owns the write path: Engine.Insert applies
-// edges to an engine-owned Dynamic, publishes snapshots amortized by
-// EngineConfig.SnapshotEvery and keeps derived structures (frontier
-// cache, distance oracle) epoch-consistent — streaming while updating is
-// a first-class, version-enforced scenario.
+// Query batches should run through the Engine: ExecuteBatch answers
+// duplicate queries once and runs the rest across a worker pool in
+// endpoint order on one captured graph view, so queries sharing a source
+// or target share that side's BFS frontier through the engine's cache,
+// filled single-flight; Engine.StreamBatch is its streaming variant,
+// flushing per-query results as they settle, and ExecuteAll/CountAll
+// collect it with the engine defaults. On mutating graphs the engine owns
+// the write path: Engine.Insert applies edges to an engine-owned Dynamic,
+// publishes snapshots amortized by EngineConfig.SnapshotEvery and keeps
+// derived structures (frontier cache, distance oracle) epoch-consistent —
+// streaming while updating is a first-class, version-enforced scenario.
 //
 // The package also implements the paper's constraint extensions (edge
 // predicates, accumulative values, label-sequence automata), dynamic-graph
