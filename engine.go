@@ -168,11 +168,9 @@ type Engine struct {
 	dyn     *Dynamic
 	pending int
 
-	// Worker-pool occupancy gauges (see PoolStats): queries currently
-	// executing through the single-query entry points, and the parallel
-	// enumeration shards those queries have fanned out.
+	// Worker-pool occupancy gauge (see PoolStats): queries currently
+	// executing.
 	inFlight atomic.Int64
-	inShards atomic.Int64
 
 	// metrics holds the pre-resolved observability handles (see
 	// metrics.go). oldestPendingNs is the unix-nano timestamp of the
@@ -661,7 +659,7 @@ func (e *Engine) ExecuteWith(ctx context.Context, q Query, opts Options) (*Resul
 // sides, passes included: frontier builds plus the sides left for the
 // session to label itself.
 func (e *Engine) run(ctx context.Context, g *Graph, oracle DistanceOracle, q Query, merged Options) (*Result, frontierUse, error) {
-	defer e.track(merged.Parallelism)()
+	defer e.track()()
 	fwd, bwd, use := e.frontiers(ctx, g, oracle, q, merged)
 	if fwd == nil {
 		use.passes++
@@ -817,71 +815,39 @@ func (e *Engine) MergeOptions(opts Options) Options {
 	if opts.Oracle == nil {
 		opts.Oracle = def.Oracle
 	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = def.Parallelism
-	}
-	// Intra-query fan-out is capped at the engine's worker count: a
-	// request cannot commandeer more goroutines than the pool is sized
-	// for, whatever it asks.
-	if opts.Parallelism > e.workers {
-		opts.Parallelism = e.workers
-	}
 	return opts
 }
 
 // PoolStats snapshots the engine's worker-pool occupancy: the configured
-// worker count, the queries currently executing — through ExecuteWith,
-// Engine.Stream and each unique query of a batch alike — and the
-// intra-query parallel enumeration shards those queries have fanned out
-// (Options.Parallelism > 1 counts its full merged fan-out for the
-// duration of the run).
+// worker count and the queries currently executing — through ExecuteWith,
+// Engine.Stream and each unique query of a batch alike. Each query
+// enumerates on one goroutine.
 type PoolStats struct {
 	// Workers is EngineConfig.Workers after defaulting.
 	Workers int
 	// InFlightQueries is the number of query executions currently
 	// running, batch members included.
 	InFlightQueries int
-	// InFlightShards is the number of parallel enumeration shards
-	// currently fanned out by those queries.
-	InFlightShards int
 }
 
 // Utilization reports InFlightQueries against the worker count as a
-// 0..1+ ratio (parallel shards can push effective demand past 1).
+// 0..1+ ratio: single-query entry points are not queued behind the pool,
+// so concurrent callers can push it past 1.
 func (s PoolStats) Utilization() float64 {
 	if s.Workers <= 0 {
 		return 0
 	}
-	load := s.InFlightQueries
-	if s.InFlightShards > load {
-		load = s.InFlightShards
-	}
-	return float64(load) / float64(s.Workers)
+	return float64(s.InFlightQueries) / float64(s.Workers)
 }
 
 // PoolStats returns the engine's current worker-pool occupancy gauges.
 func (e *Engine) PoolStats() PoolStats {
-	return PoolStats{
-		Workers:         e.workers,
-		InFlightQueries: int(e.inFlight.Load()),
-		InFlightShards:  int(e.inShards.Load()),
-	}
+	return PoolStats{Workers: e.workers, InFlightQueries: int(e.inFlight.Load())}
 }
 
-// track registers one in-flight query (and its parallel fan-out, when
-// parallelism > 1) with the pool gauges; the returned release must run
-// exactly once when the query settles.
-func (e *Engine) track(parallelism int) func() {
+// track registers one in-flight query with the pool gauge; the returned
+// release must run exactly once when the query settles.
+func (e *Engine) track() func() {
 	e.inFlight.Add(1)
-	var shards int64
-	if parallelism > 1 {
-		shards = int64(parallelism)
-		e.inShards.Add(shards)
-	}
-	return func() {
-		e.inFlight.Add(-1)
-		if shards != 0 {
-			e.inShards.Add(-shards)
-		}
-	}
+	return func() { e.inFlight.Add(-1) }
 }

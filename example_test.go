@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sort"
 
 	"pathenum"
 )
@@ -163,39 +162,6 @@ func ExampleEngine_Stream_joinPlanned() {
 	// [0 1 3]
 	// [0 2 3]
 	// IDX-JOIN cut 2 build tuples: 2
-}
-
-// Request.Parallelism fans one query's enumeration across the engine's
-// worker pool: the join's probe walks or the DFS's first-hop subtrees
-// shard across goroutines and merge back into the single delivery stream.
-// The path set, counts and limit semantics are identical to the
-// sequential run — only arrival order differs, so the example sorts
-// before printing. The engine caps the fan-out at its worker count.
-func ExampleEngine_Stream_parallel() {
-	g := diamondGraph()
-	engine, err := pathenum.NewEngine(g, pathenum.EngineConfig{Workers: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
-	req := pathenum.Request{S: 0, T: 3, K: 3, Parallelism: 4}
-	var count uint64
-	req.OnResult = func(res *pathenum.Result) { count = res.Counters.Results }
-	var paths []pathenum.Path
-	for path, err := range engine.Stream(context.Background(), req) {
-		if err != nil {
-			log.Fatal(err)
-		}
-		paths = append(paths, path)
-	}
-	sort.Slice(paths, func(i, j int) bool { return paths[i][1] < paths[j][1] })
-	for _, p := range paths {
-		fmt.Println(p)
-	}
-	fmt.Println("count:", count)
-	// Output:
-	// [0 1 3]
-	// [0 2 3]
-	// count: 2
 }
 
 // Engine.Insert is the engine-owned write path: the edge is applied to an

@@ -91,7 +91,7 @@ func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd
 		if err := cons.validate(); err != nil {
 			return nil, err
 		}
-		opts.Method, opts.Parallelism = MethodDFS, 0
+		opts.Method = MethodDFS
 	}
 	if fwd != nil {
 		if err := fwd.compatible(e.g, q, true, opts.Predicate, opts.PredicateToken); err != nil {
@@ -172,11 +172,8 @@ func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd
 		buildWalks, _ = res.Plan.Full.buildSide(res.Plan.Cut, res.Plan.Build)
 	}
 
-	// Phase 3: enumeration, fanned across shard goroutines when the
-	// caller requested intra-query parallelism (the fan-out covers only
-	// this phase; phases 1-2 and the join's build side stay sequential).
+	// Phase 3: enumeration.
 	ctl := RunControl{Emit: opts.Emit, Limit: opts.Limit, ShouldStop: shouldStop}
-	par := opts.Parallelism
 	enumStart := time.Now()
 	var err error
 	switch {
@@ -187,13 +184,7 @@ func (e *executor) executeShared(ctx context.Context, q Query, opts Options, fwd
 		// computed; the probe side streams through ctl.Emit tuple-at-a-time,
 		// so a pull consumer (Session.Stream) gets its first joined path
 		// after building only the smaller half.
-		solo := ctl
-		if par > 1 {
-			solo = ownedEmit(ctl)
-		}
-		res.Completed, err = enumerateJoin(ix, res.Plan.Cut, res.Plan.Build, par, buildWalks, ctl, solo, &res.Counters, &res.JoinStats)
-	case par > 1:
-		res.Completed = EnumerateDFSParallel(ix, par, ctl, &res.Counters)
+		res.Completed, err = enumerateJoin(ix, res.Plan.Cut, res.Plan.Build, buildWalks, ctl, &res.Counters, &res.JoinStats)
 	default:
 		res.Completed = EnumerateDFS(ix, ctl, &res.Counters)
 	}

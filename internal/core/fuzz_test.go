@@ -39,8 +39,8 @@ func sameKeySets(a, b []string) bool {
 // differentially: for every cut position and both build sides, the push
 // mode (EnumerateJoinSide's Emit) and the pull mode (the same enumerator
 // behind a stream) must deliver the same path *set* — order-insensitive —
-// and the same Counters.Results as the DFS, and a join-planned
-// Session.Stream must match too. Run with
+// and the same Counters.Results as the DFS, and the planned and
+// join-planned Session.Stream must match too. Run with
 // `go test -fuzz=FuzzEnumerationAgreement ./internal/core` for open-ended
 // fuzzing; the seed corpus runs in normal test mode.
 func FuzzEnumerationAgreement(f *testing.F) {
@@ -108,7 +108,7 @@ func FuzzEnumerationAgreement(f *testing.F) {
 						return nil, err
 					}
 					return &Result{Completed: done}, nil
-				}, false)
+				})
 				for p, serr := range seq {
 					if serr != nil {
 						t.Fatal(serr)
@@ -123,72 +123,13 @@ func FuzzEnumerationAgreement(f *testing.F) {
 					t.Fatalf("streamed join(cut=%d) path set diverges from DFS (q=%v)", cut, q)
 				}
 			}
-			// The join-planned session stream (the public wiring) agrees too.
+			// The planned and the join-planned session streams (the public
+			// wiring) agree too.
 			sess := NewSession(g, nil)
-			var planned *Result
-			var sessKeys []string
-			for p, serr := range sess.StreamWith(context.Background(), q, Options{Method: MethodJoin}, StreamConfig{
-				OnResult: func(r *Result) { planned = r },
-			}) {
-				if serr != nil {
-					t.Fatal(serr)
-				}
-				sessKeys = append(sessKeys, pathKey(p))
-			}
-			sort.Strings(sessKeys)
-			if !sameKeySets(sessKeys, dfsKeys) {
-				t.Fatalf("join-planned stream path set diverges from DFS (q=%v)", q)
-			}
-			if planned == nil || planned.Counters.Results != dfs.Results {
-				t.Fatalf("join-planned stream result %+v, want %d results (q=%v)", planned, dfs.Results, q)
-			}
-		}
-		// Parallel enumeration must agree with the sequential path at
-		// several fan-out levels: the sharded DFS, the sharded join (every
-		// cut, both build sides) and a parallel session stream all deliver
-		// the same path set and the same Counters.Results. Paths are
-		// appended without copying on purpose — the parallel entry points
-		// guarantee owned emissions, so any contract violation corrupts the
-		// set comparison here.
-		for _, par := range []int{1, 2, 4} {
-			var pctr Counters
-			var pPaths [][]graph.VertexID
-			EnumerateDFSParallel(ix, par, RunControl{Emit: func(p []graph.VertexID) bool {
-				pPaths = append(pPaths, p)
-				return true
-			}}, &pctr)
-			if pctr.Results != dfs.Results {
-				t.Fatalf("parallel(%d) DFS %d results, sequential %d (q=%v)", par, pctr.Results, dfs.Results, q)
-			}
-			if pctr.EdgesAccessed != dfs.EdgesAccessed || pctr.InvalidPartials != dfs.InvalidPartials {
-				t.Fatalf("parallel(%d) DFS counters %+v, sequential %+v (q=%v)", par, pctr, dfs, q)
-			}
-			if !sameKeySets(sortedKeys(pPaths), dfsKeys) {
-				t.Fatalf("parallel(%d) DFS path set diverges (q=%v)", par, q)
-			}
-			if k >= 2 {
-				for cut := 1; cut < k; cut++ {
-					for _, side := range []BuildSide{BuildLeft, BuildRight} {
-						var jctr Counters
-						var jPaths [][]graph.VertexID
-						var jstats JoinStats
-						if _, err := EnumerateJoinSideParallel(ix, cut, side, par, RunControl{Emit: func(p []graph.VertexID) bool {
-							jPaths = append(jPaths, p)
-							return true
-						}}, &jctr, &jstats); err != nil {
-							t.Fatal(err)
-						}
-						if jctr.Results != dfs.Results {
-							t.Fatalf("parallel(%d) join(cut=%d,side=%v) %d results, DFS %d (q=%v)", par, cut, side, jctr.Results, dfs.Results, q)
-						}
-						if !sameKeySets(sortedKeys(jPaths), dfsKeys) {
-							t.Fatalf("parallel(%d) join(cut=%d,side=%v) path set diverges (q=%v)", par, cut, side, q)
-						}
-					}
-				}
+			for _, method := range []Method{MethodAuto, MethodJoin} {
 				var planned *Result
 				var sessKeys []string
-				for p, serr := range NewSession(g, nil).StreamWith(context.Background(), q, Options{Parallelism: par}, StreamConfig{
+				for p, serr := range sess.StreamWith(context.Background(), q, Options{Method: method}, StreamConfig{
 					OnResult: func(r *Result) { planned = r },
 				}) {
 					if serr != nil {
@@ -198,10 +139,10 @@ func FuzzEnumerationAgreement(f *testing.F) {
 				}
 				sort.Strings(sessKeys)
 				if !sameKeySets(sessKeys, dfsKeys) {
-					t.Fatalf("parallel(%d) session stream path set diverges (q=%v)", par, q)
+					t.Fatalf("%v-planned stream path set diverges from DFS (q=%v)", method, q)
 				}
 				if planned == nil || planned.Counters.Results != dfs.Results {
-					t.Fatalf("parallel(%d) session stream result %+v, want %d results (q=%v)", par, planned, dfs.Results, q)
+					t.Fatalf("%v-planned stream result %+v, want %d results (q=%v)", method, planned, dfs.Results, q)
 				}
 			}
 		}

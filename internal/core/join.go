@@ -83,9 +83,7 @@ func (s BuildSide) String() string {
 // DFS (procedure Search of Algorithm 6) with no duplicate-vertex check;
 // path validity is checked at join time, as §6.3 prescribes. Walks, buckets
 // and validation state are index positions, |X|-sized; the joined walk
-// becomes vertex ids in path, in the pass that validates it. After build
-// the build side (tuples, buckets, order) is read-only, and prober clones
-// share it.
+// becomes vertex ids in path, in the pass that validates it.
 type joinEnumerator struct {
 	ix  *Index
 	cut int
@@ -139,14 +137,6 @@ func newJoinEnumerator(ix *Index, cut int, buildLeft bool, ctl *RunControl, ctr 
 	return je
 }
 
-// prober returns an enumerator over je's finished build side with its own
-// walk buffer, validation state, control and counters: one parallel shard.
-func (je *joinEnumerator) prober(ctl *RunControl, ctr *Counters) *joinEnumerator {
-	p := newJoinEnumerator(je.ix, je.cut, je.buildLeft, ctl, ctr)
-	p.tuples, p.bucketOff, p.bucketIdx = je.tuples, je.bucketOff, je.bucketIdx
-	return p
-}
-
 // EnumerateJoin runs the tuple-at-a-time join on the index (Algorithm 6)
 // with the given cut position in [1, k-1], materializing the smaller half
 // per the Algorithm-5 estimator. Resolving that side runs FullEstimate —
@@ -168,7 +158,7 @@ func EnumerateJoin(ix *Index, cut int, ctl RunControl, ctr *Counters, stats *Joi
 // emission order differs). It returns true when the run completed (no
 // stop/limit) and fills stats — also on early stops — when non-nil.
 func EnumerateJoinSide(ix *Index, cut int, side BuildSide, ctl RunControl, ctr *Counters, stats *JoinStats) (bool, error) {
-	return enumerateJoin(ix, cut, side, 1, 0, ctl, ctl, ctr, stats)
+	return enumerateJoin(ix, cut, side, 0, ctl, ctr, stats)
 }
 
 // buildReserveMax is the largest build side allocated up front from an
@@ -177,17 +167,11 @@ func EnumerateJoinSide(ix *Index, cut int, side BuildSide, ctl RunControl, ctr *
 // stop hook still ends the run before the memory is committed.
 const buildReserveMax = 1 << 24
 
-// enumerateJoin is the one join driver: build once on the calling
-// goroutine, then probe from the probe roots — on the builder itself when
-// parallelism or the root set leaves nothing to fan out, under solo's
-// control; on one prober clone per shard otherwise, merged under ctl's
-// contract by runShards. The sequential join is the one-shard case, and
-// solo is where the two public entry points differ: EnumerateJoinSide hands
-// Emit its reused buffer, EnumerateJoinSideParallel a fresh slice per path.
-// buildWalks, when the caller holds an estimate, is the number of walks the
-// build side will hold (or an upper bound; 0 = unknown): its storage is then
-// allocated once instead of grown.
-func enumerateJoin(ix *Index, cut int, side BuildSide, parallelism int, buildWalks uint64, ctl, solo RunControl, ctr *Counters, stats *JoinStats) (bool, error) {
+// enumerateJoin is the one join driver: build the chosen side, then probe
+// the other. buildWalks, when the caller holds an estimate, is the number of
+// walks the build side will hold (or an upper bound; 0 = unknown): its
+// storage is then allocated once instead of grown.
+func enumerateJoin(ix *Index, cut int, side BuildSide, buildWalks uint64, ctl RunControl, ctr *Counters, stats *JoinStats) (bool, error) {
 	if ctr == nil {
 		ctr = &Counters{}
 	}
@@ -200,13 +184,12 @@ func enumerateJoin(ix *Index, cut int, side BuildSide, parallelism int, buildWal
 	if side == BuildAuto {
 		side = FullEstimate(ix).BuildSideAt(cut)
 	}
-	je := newJoinEnumerator(ix, cut, side == BuildLeft, &solo, ctr)
+	je := newJoinEnumerator(ix, cut, side == BuildLeft, &ctl, ctr)
 	if buildWalks <= buildReserveMax/uint64(je.buildLen) {
 		je.tuples = make([]int32, 0, int(buildWalks)*je.buildLen)
 	}
-	probers := []*joinEnumerator{je}
 	if stats != nil {
-		defer func() { je.fill(stats, probers) }()
+		defer je.fill(stats)
 	}
 	start := time.Now()
 	ok := je.build()
@@ -215,21 +198,9 @@ func enumerateJoin(ix *Index, cut int, side BuildSide, parallelism int, buildWal
 		return false, nil
 	}
 	start = time.Now()
-	roots := je.probeRoots()
-	var completed bool
-	if shards := min(parallelism, len(roots)); shards <= 1 {
-		je.probe(roots, 0, 1)
-		completed = !je.stopped
-	} else {
-		probers = make([]*joinEnumerator, shards)
-		completed = runShards(shards, ctl, ctr, func(i int, sctl RunControl, sctr *Counters) bool {
-			probers[i] = je.prober(&sctl, sctr)
-			probers[i].probe(roots, i, shards)
-			return !probers[i].stopped
-		})
-	}
+	je.probe()
 	je.probeTime = time.Since(start)
-	return completed, nil
+	return !je.stopped, nil
 }
 
 // build materializes the build side and buckets it by cut vertex. Reports
@@ -294,30 +265,20 @@ func (je *joinEnumerator) bucket() {
 	je.bucketOff, je.bucketIdx = off, idx
 }
 
-// probeRoots returns the start positions of the lazy side: the distinct
-// cut vertices of Ra when building left (one right-half DFS each), the
-// first-hop neighbors of s when building right — the root level of the one
-// left-half DFS, expanded here so it can be dealt to shards, and its scan
-// accounted here, once.
-func (je *joinEnumerator) probeRoots() []int32 {
-	if je.buildLeft {
-		return je.order
+// probe generates the lazy side: one right-half DFS from each distinct
+// cut vertex of Ra when building left, the one left-half DFS from s when
+// building right.
+func (je *joinEnumerator) probe() {
+	if !je.buildLeft {
+		je.buf = append(je.buf[:0], je.ix.sPos)
+		je.walk(0)
+		return
 	}
-	roots := je.ix.outUpToPos(je.ix.sPos, je.ix.k-1)
-	je.ctr.EdgesAccessed += uint64(len(roots))
-	return roots
-}
-
-// probe drives the lazy side from every stride-th root, beginning with
-// roots[first].
-func (je *joinEnumerator) probe(roots []int32, first, stride int) {
-	for j := first; j < len(roots) && !je.stopped; j += stride {
-		if je.buildLeft {
-			je.buf = append(je.buf[:0], roots[j])
-			je.walk(je.cut)
-		} else {
-			je.buf = append(je.buf[:0], je.ix.sPos, roots[j])
-			je.walk(0)
+	for _, c := range je.order {
+		je.buf = append(je.buf[:0], c)
+		je.walk(je.cut)
+		if je.stopped {
+			return
 		}
 	}
 }
@@ -424,24 +385,18 @@ func (je *joinEnumerator) joinPath(left, right []int32) ([]graph.VertexID, bool)
 }
 
 // fill snapshots the run's footprint into stats (all exit paths): the
-// build side, which je owns and the probers only reference, counted once,
-// and each prober's walks and in-flight probe walk summed once, however
-// early it stopped. A run that did not fan out probed on je itself.
-func (je *joinEnumerator) fill(stats *JoinStats, probers []*joinEnumerator) {
+// build side plus the single in-flight probe walk buffer.
+func (je *joinEnumerator) fill(stats *JoinStats) {
 	nBuild := int64(len(je.tuples) / je.buildLen)
-	var walks int64
-	for _, p := range probers {
-		walks += p.probeWalks
-	}
 	stats.BuildLeft = je.buildLeft
 	stats.BuildTuples = nBuild
-	stats.ProbeWalks = walks
+	stats.ProbeWalks = je.probeWalks
 	if je.buildLeft {
-		stats.LeftTuples, stats.RightTuples = nBuild, walks
+		stats.LeftTuples, stats.RightTuples = nBuild, je.probeWalks
 	} else {
-		stats.LeftTuples, stats.RightTuples = walks, nBuild
+		stats.LeftTuples, stats.RightTuples = je.probeWalks, nBuild
 	}
-	stats.PartialBytes = int64(len(je.tuples))*4 + nBuild*4 + int64(len(probers)*je.probeLen)*4
+	stats.PartialBytes = int64(len(je.tuples))*4 + nBuild*4 + int64(je.probeLen)*4
 	stats.BuildTime = je.buildTime
 	stats.ProbeTime = je.probeTime
 }

@@ -334,7 +334,7 @@ func TestJoinEpochWrap(t *testing.T) {
 				if !je.build() {
 					t.Fatal("build stopped")
 				}
-				je.probe(je.probeRoots(), 0, 1)
+				je.probe()
 				if !samePaths(got, want) {
 					t.Fatalf("trial %d, epoch from %d, buildLeft=%v: join %d paths, DFS %d",
 						trial, start, buildLeft, len(got), len(want))
@@ -364,10 +364,10 @@ func TestJoinBuildReserve(t *testing.T) {
 				walks, buildLen := est.buildSide(cut, side)
 				var grown, sized JoinStats
 				var gc, sc Counters
-				if _, err := enumerateJoin(ix, cut, side, 1, 0, RunControl{}, RunControl{}, &gc, &grown); err != nil {
+				if _, err := enumerateJoin(ix, cut, side, 0, RunControl{}, &gc, &grown); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := enumerateJoin(ix, cut, side, 1, walks, RunControl{}, RunControl{}, &sc, &sized); err != nil {
+				if _, err := enumerateJoin(ix, cut, side, walks, RunControl{}, &sc, &sized); err != nil {
 					t.Fatal(err)
 				}
 				built := uint64(grown.BuildTuples)

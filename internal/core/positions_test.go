@@ -182,7 +182,7 @@ func TestEnumerationAllocIndependentOfGraphSize(t *testing.T) {
 		Combine: func(a, b float64) float64 { return a + b },
 		Accept:  func(total float64) bool { return int(total)%2 == 1 },
 	}}
-	ctl := RunControl{} // counting: no paths cross goroutines, so the parallel runs allocate deterministically
+	ctl := RunControl{}
 	const cut = 2
 	runs := []struct {
 		name string
@@ -191,9 +191,6 @@ func TestEnumerationAllocIndependentOfGraphSize(t *testing.T) {
 		{"EnumerateDFS", func(ix *Index) { EnumerateDFS(ix, ctl, nil) }},
 		{"EnumerateJoinSide/left", func(ix *Index) { EnumerateJoinSide(ix, cut, BuildLeft, ctl, nil, nil) }},
 		{"EnumerateJoinSide/right", func(ix *Index) { EnumerateJoinSide(ix, cut, BuildRight, ctl, nil, nil) }},
-		{"EnumerateDFSParallel", func(ix *Index) { EnumerateDFSParallel(ix, 2, ctl, nil) }},
-		{"EnumerateJoinSideParallel/left", func(ix *Index) { EnumerateJoinSideParallel(ix, cut, BuildLeft, 2, ctl, nil, nil) }},
-		{"EnumerateJoinSideParallel/right", func(ix *Index) { EnumerateJoinSideParallel(ix, cut, BuildRight, 2, ctl, nil, nil) }},
 		{"EnumerateConstrainedDFS", func(ix *Index) { EnumerateConstrainedDFS(ix, cons, ctl, nil) }},
 	}
 	small, big := mustIndex(t, g, q), mustIndex(t, padded, q)

@@ -33,15 +33,11 @@ type Options struct {
 	// It must have been built on the same graph version; version-aware
 	// oracles are checked per run and rejected with graph.ErrStaleEpoch.
 	Oracle DistanceOracle
-	// Parallelism fans the enumeration phase of this one query across up
-	// to this many goroutines (0 or 1 = sequential): the join's probe
-	// walks and the DFS's first-hop subtrees shard across workers while
-	// index construction, plan selection and the build side stay
-	// sequential. Emit is then called only from the run's own goroutine
-	// with merge-enforced Limit semantics, and every emitted path is a
-	// fresh slice owned by the callee (unlike the sequential reused
-	// buffer). Completed runs report identical Counters; the engine caps
-	// the value at its worker count, and the constrained DFS ignores it.
+	// Deprecated: Parallelism is not read. Every query enumerates on one
+	// goroutine — PathEnum's speed comes from the per-query index, and the
+	// engine runs queries side by side instead (see DESIGN.md §10). The
+	// field stays only so code that still sets it keeps compiling; a set
+	// value gets the sequential answer.
 	Parallelism int
 }
 

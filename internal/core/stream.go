@@ -47,9 +47,9 @@ type StreamConfig struct {
 	// Constraints, when non-nil, makes the stream a constrained query
 	// (Appendix E): its Accumulate and Sequence are checked by the
 	// constrained index DFS on the same executor spine — pooled session,
-	// oracle, frontiers, timings. Options.Method and Options.Parallelism do
-	// not apply then, and the edge predicate stays Options.Predicate
-	// (Constraints.Predicate is not read).
+	// oracle, frontiers, timings. Options.Method does not apply then, and
+	// the edge predicate stays Options.Predicate (Constraints.Predicate is
+	// not read).
 	Constraints *Constraints
 	// Buffer selects the delivery mode: 0 streams synchronously with the
 	// enumeration suspended between pulls; > 0 lets a producer goroutine
@@ -111,10 +111,7 @@ func (s *Session) StreamWith(ctx context.Context, q Query, opts Options, sc Stre
 		opts.Emit = emit
 		return s.ex.executeShared(ctx, q, opts, sc.Fwd, sc.Bwd, sc.Constraints)
 	}
-	// A parallel run already hands over slab-owned slices (the parallel
-	// ownership contract), so the stream skips its own copy — the
-	// merge-side copy is the only one paid.
-	return makeStream(ctx, sc, run, opts.Parallelism > 1 && sc.Constraints == nil)
+	return makeStream(ctx, sc, run)
 }
 
 // slabMax is the largest slab a PathSlab allocates, in vertices (8 KB):
@@ -184,16 +181,15 @@ type pathSeq = iter.Seq2[[]graph.VertexID, error]
 
 // makeStream builds the iterator over any push-mode runner. run must
 // execute the query, delivering each path to emit (reused-slice Emit
-// semantics, unless owned declares the runner already hands over fresh
-// slices — the parallel enumerators' contract) and honoring emit's false
-// return as an immediate stop; it observes the context it is passed,
-// which in buffered mode is a child of the caller's that Chunked cancels
-// when the consumer leaves early.
-func makeStream(ctx context.Context, sc StreamConfig, run func(context.Context, func([]graph.VertexID) bool) (*Result, error), owned bool) pathSeq {
+// semantics: the stream copies every path into its slab) and honoring
+// emit's false return as an immediate stop; it observes the context it is
+// passed, which in buffered mode is a child of the caller's that Chunked
+// cancels when the consumer leaves early.
+func makeStream(ctx context.Context, sc StreamConfig, run func(context.Context, func([]graph.VertexID) bool) (*Result, error)) pathSeq {
 	if buffer := sc.Buffer; buffer > 0 {
 		sc.Buffer = 0
 		chunks := Chunked(ctx, buffer, func(pctx context.Context) pathSeq {
-			return makeStream(pctx, sc, run, owned)
+			return makeStream(pctx, sc, run)
 		})
 		return func(yield func([]graph.VertexID, error) bool) {
 			for chunk, err := range chunks {
@@ -219,10 +215,7 @@ func makeStream(ctx context.Context, sc StreamConfig, run func(context.Context, 
 		}
 		res, err := run(ctx, func(p []graph.VertexID) bool {
 			st.noteFirst()
-			if !owned {
-				p = st.slab.Copy(p)
-			}
-			if !yield(p, nil) {
+			if !yield(st.slab.Copy(p), nil) {
 				st.abandoned = true
 				return false
 			}
@@ -238,9 +231,8 @@ func makeStream(ctx context.Context, sc StreamConfig, run func(context.Context, 
 	}
 }
 
-// chunkMax caps a hand-off between goroutines — a Chunked chunk, a
-// parallel shard's delivery — at the size where the per-path share of the
-// channel operation is negligible.
+// chunkMax caps a Chunked chunk, the one hand-off between goroutines, at
+// the size where the per-path share of the channel operation is negligible.
 const chunkMax = 256
 
 // Chunked is the one producer/consumer adapter: it runs the stream open

@@ -142,9 +142,8 @@ func TestStreamFirstPathBeforeCompletion(t *testing.T) {
 // TestStreamYieldsOwnedCopies: unlike Emit's reused buffer, yielded paths
 // are the consumer's — they stay valid after the iteration advances, and
 // although they are cut from shared slabs, appending to one cannot reach the
-// path cut after it. Every producer of slab paths is covered (the stream's
-// own copy, the parallel shards', the sequential fallback's) across both
-// delivery modes, on a result set that fills dozens of slabs.
+// path cut after it. Both enumerators are covered across both delivery
+// modes, on a result set that fills dozens of slabs.
 func TestStreamYieldsOwnedCopies(t *testing.T) {
 	g, q := layeredGraph(t, 15, 4) // 15^4 = 50625 paths
 	sess := NewSession(g, nil)
@@ -157,27 +156,25 @@ func TestStreamYieldsOwnedCopies(t *testing.T) {
 	}
 	sort.Strings(want)
 	for _, method := range []Method{MethodDFS, MethodJoin} {
-		for _, par := range []int{0, 2} {
-			for _, buffer := range []int{0, 1, 64} {
-				var kept [][]graph.VertexID
-				for p, err := range sess.StreamWith(context.Background(), q, Options{Method: method, Parallelism: par}, StreamConfig{Buffer: buffer}) {
-					if err != nil {
-						t.Fatal(err)
-					}
-					kept = append(kept, p)
+		for _, buffer := range []int{0, 1, 64} {
+			var kept [][]graph.VertexID
+			for p, err := range sess.StreamWith(context.Background(), q, Options{Method: method}, StreamConfig{Buffer: buffer}) {
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := 0; i < len(kept); i += 7 {
-					_ = append(kept[i], -1, -1) // must reallocate, not overwrite a neighbour
-				}
-				got := make([]string, len(kept))
-				for i, p := range kept {
-					got[i] = pathKey(p)
-				}
-				sort.Strings(got)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%v parallelism=%d buffer=%d: %d retained paths differ from the %d emitted",
-						method, par, buffer, len(got), len(want))
-				}
+				kept = append(kept, p)
+			}
+			for i := 0; i < len(kept); i += 7 {
+				_ = append(kept[i], -1, -1) // must reallocate, not overwrite a neighbour
+			}
+			got := make([]string, len(kept))
+			for i, p := range kept {
+				got[i] = pathKey(p)
+			}
+			sort.Strings(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v buffer=%d: %d retained paths differ from the %d emitted",
+					method, buffer, len(got), len(want))
 			}
 		}
 	}
@@ -592,8 +589,8 @@ func TestStreamConstrained(t *testing.T) {
 	sess := NewSession(g, nil)
 	for _, buffer := range []int{0, 2} {
 		var done *Result
-		// Method and Parallelism do not apply to a constrained stream.
-		got := streamPaths(t, sess.StreamWith(context.Background(), q, Options{Method: MethodJoin, Parallelism: 4}, StreamConfig{
+		// Method does not apply to a constrained stream.
+		got := streamPaths(t, sess.StreamWith(context.Background(), q, Options{Method: MethodJoin}, StreamConfig{
 			Constraints: &cons,
 			Buffer:      buffer,
 			OnResult:    func(r *Result) { done = r },

@@ -11,6 +11,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"iter"
@@ -42,14 +43,13 @@ type Engine interface {
 
 // queryRequest is the JSON body of POST /query.
 type queryRequest struct {
-	S        int64  `json:"s"`
-	T        int64  `json:"t"`
-	K        int    `json:"k"`
-	Method   string `json:"method,omitempty"`   // auto | dfs | join
-	Limit    uint64 `json:"limit,omitempty"`    // cap on enumerated results
-	Paths    bool   `json:"paths,omitempty"`    // include path vertex lists
-	Timeout  string `json:"timeout,omitempty"`  // e.g. "500ms"
-	Parallel int    `json:"parallel,omitempty"` // intra-query fan-out (0 = sequential, capped at engine workers)
+	S       int64  `json:"s"`
+	T       int64  `json:"t"`
+	K       int    `json:"k"`
+	Method  string `json:"method,omitempty"`  // auto | dfs | join
+	Limit   uint64 `json:"limit,omitempty"`   // cap on enumerated results
+	Paths   bool   `json:"paths,omitempty"`   // include path vertex lists
+	Timeout string `json:"timeout,omitempty"` // e.g. "500ms"
 }
 
 // queryResponse is the JSON reply.
@@ -258,14 +258,10 @@ type memStats struct {
 	DepositsRejected uint64 `json:"depositsRejected"`
 }
 
-// poolStats is the wire form of the engine's worker-pool occupancy: the
-// utilization of the pool and the intra-query parallel shards in flight,
-// so a parallel speedup is observable from the daemon, not just in
-// benchmarks.
+// poolStats is the wire form of the engine's worker-pool occupancy.
 type poolStats struct {
 	Workers         int     `json:"workers"`
 	InFlightQueries int     `json:"inFlightQueries"`
-	InFlightShards  int     `json:"inFlightShards"`
 	Utilization     float64 `json:"utilization"`
 }
 
@@ -307,7 +303,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"pool": poolStats{
 			Workers:         int(snap["pathenum_pool_workers"]),
 			InFlightQueries: int(snap["pathenum_pool_inflight_queries"]),
-			InFlightShards:  int(snap["pathenum_pool_inflight_shards"]),
 			Utilization:     snap["pathenum_pool_utilization"],
 		},
 	})
@@ -341,10 +336,34 @@ type insertResponse struct {
 // maxInsertEdges bounds one POST /insert body.
 const maxInsertEdges = 10000
 
+// maxBodyBytes caps every request body, so no request can take the
+// daemon's memory before the item limits are checked. The largest legal
+// body is a maxBatchQueries /batch whose ids all take the widest int64
+// encoding, -9223372036854775808: {"s":…,"t":…,"k":…} plus its comma is
+// 77 bytes, 770 KB in all (a maxInsertEdges /insert is 56 bytes an edge,
+// 560 KB). 2 MiB leaves room for whitespace and the batch-wide fields.
+const maxBodyBytes = 2 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the response itself — 413 past the cap, 400 for a
+// malformed body — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+		return false
+	}
+	httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	return false
+}
+
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req insertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Edges) == 0 {
@@ -407,15 +426,11 @@ func (s *Server) handleFlush(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// parseOptions converts wire-level method/limit/timeout/parallel to
-// per-call option overrides (zero fields inherit the engine defaults at
-// execution time; parallel is capped at the engine's worker count by the
-// merge).
-func parseOptions(method string, limit uint64, timeout string, parallel int) (pathenum.Options, error) {
-	if parallel < 0 {
-		return pathenum.Options{}, fmt.Errorf("bad parallel %d: must be >= 0", parallel)
-	}
-	opts := pathenum.Options{Limit: limit, Parallelism: parallel}
+// parseOptions converts wire-level method/limit/timeout to per-call
+// option overrides (zero fields inherit the engine defaults at execution
+// time).
+func parseOptions(method string, limit uint64, timeout string) (pathenum.Options, error) {
+	opts := pathenum.Options{Limit: limit}
 	switch method {
 	case "", "auto":
 		opts.Method = pathenum.Auto
@@ -457,40 +472,20 @@ func (s *Server) parseQuery(req queryRequest) (pathenum.Query, pathenum.Options,
 	if err != nil {
 		return pathenum.Query{}, pathenum.Options{}, err
 	}
-	opts, err := parseOptions(req.Method, req.Limit, req.Timeout, req.Parallel)
+	opts, err := parseOptions(req.Method, req.Limit, req.Timeout)
 	if err != nil {
 		return pathenum.Query{}, pathenum.Options{}, err
 	}
 	return q, opts, nil
 }
 
-// parallelOverride applies the ?parallel= URL query parameter over the
-// body's JSON field — a curl-friendly way to A/B the fan-out without
-// editing the request body.
-func parallelOverride(r *http.Request, body int) (int, error) {
-	raw := r.URL.Query().Get("parallel")
-	if raw == "" {
-		return body, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad parallel %q: must be an integer >= 0", raw)
-	}
-	return v, nil
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	q, opts, err := s.parseQuery(req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if opts.Parallelism, err = parallelOverride(r, opts.Parallelism); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -571,16 +566,11 @@ type doneLine struct {
 // closing the connection.
 func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	q, opts, err := s.parseQuery(req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if opts.Parallelism, err = parallelOverride(r, opts.Parallelism); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -589,7 +579,6 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 	sreq.Method = opts.Method
 	sreq.Limit = opts.Limit
 	sreq.Timeout = opts.Timeout
-	sreq.Parallelism = opts.Parallelism
 	// Set on the producer goroutine, read after the range ends — which
 	// Chunked orders after the producer's exit.
 	var sum *pathenum.Result
@@ -715,8 +704,7 @@ const maxBatchQueries = 10000
 // StreamBatch's fail-fast semantics.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -727,7 +715,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Queries), maxBatchQueries)
 		return
 	}
-	opts, err := parseOptions(req.Method, req.Limit, req.Timeout, 0)
+	opts, err := parseOptions(req.Method, req.Limit, req.Timeout)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -739,8 +727,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, qr := range req.Queries {
 		// Options are batch-wide; reject per-query overrides loudly rather
 		// than dropping them.
-		if qr.Method != "" || qr.Limit != 0 || qr.Timeout != "" || qr.Paths || qr.Parallel != 0 {
-			out[i].Error = "per-query method/limit/timeout/paths/parallel are not supported in /batch; set them batch-wide"
+		if qr.Method != "" || qr.Limit != 0 || qr.Timeout != "" || qr.Paths {
+			out[i].Error = "per-query method/limit/timeout/paths are not supported in /batch; set them batch-wide"
 			continue
 		}
 		q, qerr := s.resolveQuery(qr.S, qr.T, qr.K)

@@ -937,3 +937,103 @@ func TestBatchStreamNDJSON(t *testing.T) {
 		t.Fatalf("index 1 (unknown vertex) must carry an error: %v", byIndex[1])
 	}
 }
+
+// TestStatsPool: /stats exposes the worker-pool gauges (worker count,
+// in-flight queries, utilization).
+func TestStatsPool(t *testing.T) {
+	ts := testServer(t, nil)
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Pool *poolStats `json:"pool"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Pool == nil || stats.Pool.Workers != 2 {
+		t.Fatalf("pool = %+v, want 2 workers", stats.Pool)
+	}
+	if stats.Pool.InFlightQueries != 0 || stats.Pool.Utilization != 0 {
+		t.Fatalf("idle pool = %+v, want zero gauges", stats.Pool)
+	}
+}
+
+// TestLegacyParallelIgnored: "parallel" is no longer part of the wire
+// format. An old client's body field or ?parallel= parameter — a malformed
+// one included — is ignored like any unknown field: /query and /paths
+// answer 200 with the pathenum.Count answer, and a /batch slot carrying
+// a per-query "parallel" runs like any other.
+func TestLegacyParallelIgnored(t *testing.T) {
+	g := gen.BarabasiAlbert(80, 3, 17)
+	engine, err := pathenum.NewEngine(g, pathenum.EngineConfig{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(engine, nil, Config{}).Handler())
+	t.Cleanup(ts.Close)
+	want, err := pathenum.Count(g, pathenum.Query{S: 79, T: 0, K: 4})
+	if err != nil || want == 0 {
+		t.Fatalf("fixture: Count = %d, %v", want, err)
+	}
+	for _, c := range []struct{ query, body string }{
+		{"", `{"s":79,"t":0,"k":4,"parallel":2}`},
+		{"?parallel=2", `{"s":79,"t":0,"k":4}`},
+		{"?parallel=bogus", `{"s":79,"t":0,"k":4}`},
+	} {
+		resp, err := http.Post(ts.URL+"/query"+c.query, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qr queryResponse
+		if resp.StatusCode == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&qr)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil || qr.Count != want || !qr.Completed {
+			t.Fatalf("/query%s %s: status %d, %+v (%v), want count %d", c.query, c.body, resp.StatusCode, qr, err, want)
+		}
+		lines := ndjsonLines(t, ts, "/paths"+c.query, c.body)
+		if n := uint64(len(lines) - 1); n != want || lines[n]["done"] != true || jsonNum(t, lines[n]["count"]) != strconv.FormatUint(want, 10) {
+			t.Fatalf("/paths%s %s: %d path lines, done line %v, want %d", c.query, c.body, n, lines[n], want)
+		}
+	}
+	_, br := postBatch(t, ts, `{"queries":[{"s":79,"t":0,"k":4,"parallel":2},{"s":79,"t":0,"k":4}]}`)
+	for i, r := range br.Results {
+		if r.Error != "" || r.Count != want {
+			t.Fatalf("/batch slot %d = %+v, want count %d", i, r, want)
+		}
+	}
+}
+
+// TestRequestBodyCap: every body handler reads at most maxBodyBytes. A
+// larger body is refused with 413 before it is held in memory; a maximal
+// legal body — maxBatchQueries queries, every id at the widest int64
+// encoding — is not; and the server keeps answering.
+func TestRequestBodyCap(t *testing.T) {
+	ts := testServer(t, nil)
+	huge := `{"s":0,"t":3,"k":3,"method":"` + strings.Repeat("x", 8<<20) + `"}`
+	for _, path := range []string{"/query", "/paths", "/batch", "/insert"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with an 8 MB body: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	const widest = "-9223372036854775808"
+	item := `{"s":` + widest + `,"t":` + widest + `,"k":` + widest + `}`
+	body := `{"queries":[` + strings.Repeat(item+",", maxBatchQueries-1) + item + `]}`
+	resp, br := postBatch(t, ts, body)
+	if resp.StatusCode != http.StatusOK || len(br.Results) != maxBatchQueries {
+		t.Fatalf("maximal %d-byte /batch: status %d, %d results", len(body), resp.StatusCode, len(br.Results))
+	}
+	if resp, qr := postQuery(t, ts, `{"s":0,"t":3,"k":3}`); resp.StatusCode != http.StatusOK || qr.Count != 2 {
+		t.Fatalf("/query after the refusals: status %d, %+v", resp.StatusCode, qr)
+	}
+}

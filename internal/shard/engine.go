@@ -80,7 +80,6 @@ type Engine struct {
 	// Phased (two-phase) executions run engine-less on captured graphs;
 	// these gauges track them so PoolStats covers every in-flight query.
 	inFlight atomic.Int64
-	inShards atomic.Int64
 
 	// Per-query state of the phased routes, pooled: seam-join scratch
 	// (*crossJoin) and the sessions the sub-image and full-image phases run
@@ -241,34 +240,19 @@ func (e *Engine) OracleLag() time.Duration {
 func (e *Engine) PoolStats() pathenum.PoolStats {
 	ps := pathenum.PoolStats{Workers: e.subWorkers * e.p}
 	for _, s := range e.subs {
-		sp := s.PoolStats()
-		ps.InFlightQueries += sp.InFlightQueries
-		ps.InFlightShards += sp.InFlightShards
+		ps.InFlightQueries += s.PoolStats().InFlightQueries
 	}
 	if e.fallback != e.subs[0] {
-		fp := e.fallback.PoolStats()
-		ps.InFlightQueries += fp.InFlightQueries
-		ps.InFlightShards += fp.InFlightShards
+		ps.InFlightQueries += e.fallback.PoolStats().InFlightQueries
 	}
 	ps.InFlightQueries += int(e.inFlight.Load())
-	ps.InFlightShards += int(e.inShards.Load())
 	return ps
 }
 
 // track mirrors pathenum.Engine.track for phased executions.
-func (e *Engine) track(parallelism int) func() {
+func (e *Engine) track() func() {
 	e.inFlight.Add(1)
-	var shards int64
-	if parallelism > 1 {
-		shards = int64(parallelism)
-		e.inShards.Add(shards)
-	}
-	return func() {
-		e.inFlight.Add(-1)
-		if shards != 0 {
-			e.inShards.Add(-shards)
-		}
-	}
+	return func() { e.inFlight.Add(-1) }
 }
 
 // Insert routes the edge to its owning structure: the full image always
@@ -411,7 +395,6 @@ func optionsOf(req pathenum.Request) pathenum.Options {
 		Predicate:      req.Predicate,
 		PredicateToken: req.PredicateToken,
 		Oracle:         req.Oracle,
-		Parallelism:    req.Parallelism,
 	}
 }
 
@@ -427,7 +410,6 @@ func requestFrom(q core.Query, opts pathenum.Options) pathenum.Request {
 		Predicate:      opts.Predicate,
 		PredicateToken: opts.PredicateToken,
 		Oracle:         opts.Oracle,
-		Parallelism:    opts.Parallelism,
 	}
 }
 
@@ -491,7 +473,7 @@ func (e *Engine) streamRouted(ctx context.Context, v *view, r route, req pathenu
 func (e *Engine) runPhased(ctx context.Context, v *view, r route, req pathenum.Request, yield func(pathenum.Path, error) bool) {
 	merged := e.fallback.MergeOptions(optionsOf(req))
 	merged.Emit = nil
-	defer e.track(merged.Parallelism)()
+	defer e.track()()
 	start := time.Now()
 	var deadline time.Time
 	if merged.Timeout > 0 {

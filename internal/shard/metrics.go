@@ -89,8 +89,6 @@ func registerPoolGauges(reg *pathenum.MetricsRegistry, e *Engine) {
 		func() float64 { return float64(e.PoolStats().Workers) })
 	reg.GaugeFunc("pathenum_pool_inflight_queries", "Single-query executions currently running.",
 		func() float64 { return float64(e.PoolStats().InFlightQueries) })
-	reg.GaugeFunc("pathenum_pool_inflight_shards", "Parallel enumeration shards currently fanned out.",
-		func() float64 { return float64(e.PoolStats().InFlightShards) })
 	reg.GaugeFunc("pathenum_pool_utilization", "In-flight load over the worker count (0..1+).",
 		func() float64 { return e.PoolStats().Utilization() })
 }

@@ -231,8 +231,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		func() float64 { return float64(e.workers) })
 	reg.GaugeFunc("pathenum_pool_inflight_queries", "Single-query executions currently running.",
 		func() float64 { return float64(e.inFlight.Load()) })
-	reg.GaugeFunc("pathenum_pool_inflight_shards", "Parallel enumeration shards currently fanned out.",
-		func() float64 { return float64(e.inShards.Load()) })
 	reg.GaugeFunc("pathenum_pool_utilization", "In-flight load over the worker count (0..1+).",
 		func() float64 { return e.PoolStats().Utilization() })
 	reg.GaugeFunc("pathenum_graph_epoch", "Mutation count of the serving graph's lineage.",

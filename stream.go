@@ -22,7 +22,8 @@ type Path = []VertexID
 // query endpoints, the per-request options and the constraint extensions
 // that the older entry points spread across (Query, Options, Constraints)
 // parameter triples. The zero value of every field is "inherit or off";
-// a Request is ready as soon as S, T and K are set.
+// a Request is ready as soon as S, T and K are set. The request enumerates
+// on one goroutine: the consumer's, or with Buffer > 0 one producer's.
 //
 //	for path, err := range engine.Stream(ctx, pathenum.Request{S: s, T: t, K: 6}) {
 //		if err != nil { ... }
@@ -56,15 +57,6 @@ type Request struct {
 	// Oracle overrides the engine/default distance oracle for this
 	// request.
 	Oracle DistanceOracle
-	// Parallelism fans this one query's enumeration phase across up to
-	// this many goroutines (0 or 1 = sequential): the join's probe walks
-	// or the DFS's first-hop subtrees shard across workers and merge back
-	// into the single delivery stream, with Limit enforced at the merge —
-	// n results means n total, not n per shard — and identical counters
-	// on completed runs. The engine caps the value at its worker count;
-	// constrained requests ignore it (the constrained DFS is sequential).
-	// See Options.Parallelism.
-	Parallelism int
 
 	// Accumulate and Sequence are the Appendix-E constraint extensions.
 	// Setting either makes the enumeration step the constrained index DFS
@@ -110,7 +102,6 @@ func (r Request) options() Options {
 		Predicate:      r.Predicate,
 		PredicateToken: r.PredicateToken,
 		Oracle:         r.Oracle,
-		Parallelism:    r.Parallelism,
 	}
 }
 
@@ -222,11 +213,7 @@ func (e *Engine) startStream(ctx context.Context, req Request) (iter.Seq2[Path, 
 	// total anchored at Began so they cover the engine's own dispatch.
 	sc.Began = start
 	sc.Observer = &e.metrics.streamObs
-	par := merged.Parallelism
-	if req.constrained() {
-		par = 0 // the constrained DFS runs sequentially
-	}
-	lease := streamLease{release: e.track(par)}
+	lease := streamLease{release: e.track()}
 	g, oracle := e.view()
 	sc.Fwd, sc.Bwd, _ = e.frontiers(ctx, g, oracle, req.Query(), merged)
 	lease.pool = &e.sessions

@@ -233,34 +233,31 @@ func TestChunkedStreamExits(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for _, x := range exits {
-		for _, par := range []int{0, 2} {
-			var results atomic.Int32
-			req := x.req
-			req.Parallelism = par
-			req.OnResult = func(*Result) { results.Add(1) }
-			ctx, cancel := context.WithCancel(context.Background())
-			func() {
-				defer func() {
-					if r := recover(); r != nil && r != "consumer failed" {
-						panic(r)
-					}
-				}()
-				n := 0
-				for chunk, err := range core.Chunked(ctx, 64, func(ctx context.Context) iter.Seq2[Path, error] {
-					return e.Stream(ctx, req)
-				}) {
-					if n++; !x.body(n, chunk, err, cancel) {
-						break
-					}
+		var results atomic.Int32
+		req := x.req
+		req.OnResult = func(*Result) { results.Add(1) }
+		ctx, cancel := context.WithCancel(context.Background())
+		func() {
+			defer func() {
+				if r := recover(); r != nil && r != "consumer failed" {
+					panic(r)
 				}
 			}()
-			cancel()
-			if ps := e.PoolStats(); ps.InFlightQueries != 0 || ps.InFlightShards != 0 {
-				t.Fatalf("%s, parallelism %d: pool after the range = %+v, want idle", x.name, par, ps)
+			n := 0
+			for chunk, err := range core.Chunked(ctx, 64, func(ctx context.Context) iter.Seq2[Path, error] {
+				return e.Stream(ctx, req)
+			}) {
+				if n++; !x.body(n, chunk, err, cancel) {
+					break
+				}
 			}
-			if got := int(results.Load()); got != x.results {
-				t.Fatalf("%s, parallelism %d: OnResult fired %d times, want %d", x.name, par, got, x.results)
-			}
+		}()
+		cancel()
+		if ps := e.PoolStats(); ps.InFlightQueries != 0 {
+			t.Fatalf("%s: pool after the range = %+v, want idle", x.name, ps)
+		}
+		if got := int(results.Load()); got != x.results {
+			t.Fatalf("%s: OnResult fired %d times, want %d", x.name, got, x.results)
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -437,7 +434,7 @@ func TestStreamBatchEarlyBreak(t *testing.T) {
 		if got != after {
 			t.Fatalf("consumed %d items before break, want %d", got, after)
 		}
-		if ps := e.PoolStats(); ps.InFlightQueries != 0 || ps.InFlightShards != 0 {
+		if ps := e.PoolStats(); ps.InFlightQueries != 0 {
 			t.Fatalf("break after %d: pool = %+v, want idle", after, ps)
 		}
 	}
